@@ -36,7 +36,9 @@
 #   huge       the spatial-index contract at scale (docs/performance.md): a
 #              sanitized 10^5-customer instance solved with --spatial flat
 #              and --spatial index must produce byte-identical solution
-#              files, and the shard solver's output must pass the
+#              files and summary lines, `sectorpack bound` must order
+#              trivial >= orientation-free >= flow-window >= the greedy
+#              served value, and the shard solver's output must pass the
 #              named-invariant verifier. No --time-limit anywhere: deadline
 #              stops are wall-clock nondeterministic and would break the
 #              byte comparison.
@@ -550,7 +552,8 @@ EOF
 # Spatial-index scale contract (docs/performance.md): on a 10^5-customer
 # instance -- above the kAuto crossover, so `--spatial index` really runs
 # the polar grid -- the flat and indexed solves must write byte-identical
-# solution files, and the shard solver must produce verifiable output.
+# solution files and summary lines, the certified bounds must order as
+# proven, and the shard solver must produce verifiable output.
 # Runs sanitized so any index out-of-bounds in the grid's cell walk at
 # scale is caught here, not in production. Deliberately no --time-limit:
 # where a deadline stops a solve depends on wall-clock speed, which would
@@ -588,8 +591,11 @@ run_huge() {
     --capacity-fraction 0.001 --seed 77 -o "$TMP/huge.inst"
 
   # The load-bearing check: one solve per mode, byte-identical outputs.
+  # The summary lines must match too: their flow-window bound reads the
+  # in-range lists flat in one run and from the grid in the other.
   expect_rc 0 "$CLI" solve --in "$TMP/huge.inst" --solver greedy \
     --spatial flat -o "$TMP/flat.sol"
+  cp "$TMP/err" "$TMP/flat.err"
   expect_rc 0 "$CLI" solve --in "$TMP/huge.inst" --solver greedy \
     --spatial index -o "$TMP/index.sol"
   if ! cmp -s "$TMP/flat.sol" "$TMP/index.sol"; then
@@ -597,7 +603,43 @@ run_huge() {
     diff "$TMP/flat.sol" "$TMP/index.sol" | head -20 >&2
     exit 1
   fi
+  if ! cmp -s "$TMP/flat.err" "$TMP/err"; then
+    echo "FAIL: --spatial flat and --spatial index summary lines differ" >&2
+    diff "$TMP/flat.err" "$TMP/err" >&2
+    exit 1
+  fi
   expect_rc 0 "$CLI" verify --in "$TMP/huge.inst" --solution "$TMP/flat.sol"
+
+  # Certified bounds at scale: trivial >= orientation-free >= flow-window
+  # >= the greedy solve's served value. Each prints with 6 significant
+  # digits, so every comparison allows 1e-5 relative slack.
+  local served
+  served="$(sed -n 's/.* served_value=\([^ ]*\) .*/\1/p' "$TMP/flat.err")"
+  expect_rc 0 "$CLI" bound --in "$TMP/huge.inst"
+  if ! awk -v served="$served" '
+      { v[$1] = $2 }
+      END {
+        chain = v["trivial"] " >= " v["orientation-free"] " >= " \
+                v["flow-window"] " >= " served
+        if (v["trivial"] == "" || v["orientation-free"] == "" ||
+            v["flow-window"] == "" || served == "") {
+          print "missing value in " chain
+          exit 1
+        }
+        slack = 1 + 1e-5
+        if (v["orientation-free"] + 0 > (v["trivial"] + 0) * slack ||
+            v["flow-window"] + 0 > (v["orientation-free"] + 0) * slack ||
+            served + 0 > (v["flow-window"] + 0) * slack) {
+          print "broken chain " chain
+          exit 1
+        }
+        print chain
+      }' "$TMP/out" > "$TMP/chain"; then
+    echo "FAIL: huge bounds: $(cat "$TMP/chain")" >&2
+    cat "$TMP/out" "$TMP/flat.err" >&2
+    exit 1
+  fi
+  echo "huge bounds: $(cat "$TMP/chain")"
 
   # Shard solve: feasible, verifiable output at scale (the merge/repair
   # path is seam-dependent, so no byte comparison against plain greedy).

@@ -6,9 +6,41 @@
 #include "src/bounds/dinic.hpp"
 #include "src/bounds/upper.hpp"
 #include "src/geom/sweep.hpp"
-#include "src/knapsack/knapsack.hpp"
+#include "src/knapsack/incremental.hpp"
 
 namespace sectorpack::bounds {
+
+namespace {
+
+// W_j: the best fractional-knapsack value over antenna `ant`'s leading-edge
+// windows among `band`, its in-range customers. One delta walk reads each
+// window's Dantzig value off the oracle's Fenwick trees, O(m log m) for m
+// customers in range; the oracle never solves, so it needs no cache.
+double best_window_value(const model::Instance& inst,
+                         const model::AntennaSpec& ant,
+                         std::span<const std::size_t> band) {
+  if (band.empty()) return 0.0;
+  std::vector<double> thetas(band.size());
+  std::vector<knapsack::Item> items(band.size());
+  for (std::size_t m = 0; m < band.size(); ++m) {
+    thetas[m] = inst.theta(band[m]);
+    items[m] = {inst.value(band[m]), inst.demand(band[m])};
+  }
+  const geom::WindowSweep sweep(thetas, ant.rho);
+  knapsack::IncrementalOracle window(items, ant.capacity,
+                                     knapsack::Oracle::greedy());
+  for (std::size_t m : sweep.members(0)) window.add(m);
+  double best = window.upper_bound();
+  for (std::size_t w = 1; w < sweep.num_windows(); ++w) {
+    const geom::WindowDelta d = sweep.delta(w);
+    for (std::size_t m : d.leave) window.remove(m);
+    for (std::size_t m : d.enter) window.add(m);
+    best = std::max(best, window.upper_bound());
+  }
+  return best;
+}
+
+}  // namespace
 
 double fixed_orientation_fractional_bound(const model::Instance& inst,
                                           std::span<const double> alphas) {
@@ -41,37 +73,13 @@ double fixed_orientation_fractional_bound(const model::Instance& inst,
 }
 
 double orientation_free_bound(const model::Instance& inst) {
+  // W_j already enforces the capacity, so it needs no clamp (for weighted
+  // instances value and capacity are in different units anyway).
   double per_antenna_total = 0.0;
+  std::vector<std::size_t> band;
   for (std::size_t j = 0; j < inst.num_antennas(); ++j) {
-    const model::AntennaSpec& ant = inst.antenna(j);
-
-    // Customers within this antenna's range.
-    std::vector<double> thetas;
-    std::vector<double> values;
-    std::vector<double> demands;
-    for (std::size_t i = 0; i < inst.num_customers(); ++i) {
-      if (inst.in_range(i, j)) {
-        thetas.push_back(inst.theta(i));
-        values.push_back(inst.value(i));
-        demands.push_back(inst.demand(i));
-      }
-    }
-
-    // Best fractional window VALUE; the fractional knapsack already
-    // enforces the capacity, so no extra clamp is needed (and for weighted
-    // instances value and capacity are in different units anyway).
-    double best_window = 0.0;
-    const geom::WindowSweep sweep(thetas, ant.rho);
-    std::vector<knapsack::Item> items;
-    for (std::size_t w = 0; w < sweep.num_windows(); ++w) {
-      items.clear();
-      for (std::size_t m : sweep.members(w)) {
-        items.push_back({values[m], demands[m]});
-      }
-      best_window = std::max(
-          best_window, knapsack::fractional_upper_bound(items, ant.capacity));
-    }
-    per_antenna_total += best_window;
+    inst.in_range_customers(j, band);
+    per_antenna_total += best_window_value(inst, inst.antenna(j), band);
   }
   return std::min(inst.total_value(), per_antenna_total);
 }
@@ -87,11 +95,11 @@ double flow_window_bound(const model::Instance& inst,
   const std::size_t n = inst.num_customers();
   const std::size_t k = inst.num_antennas();
 
-  // Per-antenna ceiling: min(capacity, best fractional window) -- computed
-  // exactly as in orientation_free_bound.
+  // Per-antenna ceiling min(capacity, W_j), over the in-range list that the
+  // flow arcs below reuse.
+  std::vector<std::vector<std::size_t>> bands(k);
   std::vector<double> ceiling(k, 0.0);
-  std::vector<double> thetas;
-  std::vector<knapsack::Item> items;
+  std::vector<std::size_t> node(n, 0);  // flow node of customer i; 0: none
   for (std::size_t j = 0; j < k; ++j) {
     // Deadline check per antenna sweep. A truncated bound computation can
     // not certify anything, so degrade to the always-valid trivial bound
@@ -101,40 +109,30 @@ double flow_window_bound(const model::Instance& inst,
       return trivial_bound(inst);
     }
     const model::AntennaSpec& ant = inst.antenna(j);
-    thetas.clear();
-    std::vector<double> demands;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (inst.in_range(i, j)) {
-        thetas.push_back(inst.theta(i));
-        demands.push_back(inst.demand(i));
-      }
-    }
-    double best_window = 0.0;
-    const geom::WindowSweep sweep(thetas, ant.rho);
-    for (std::size_t w = 0; w < sweep.num_windows(); ++w) {
-      items.clear();
-      for (std::size_t m : sweep.members(w)) {
-        items.push_back({demands[m], demands[m]});
-      }
-      best_window = std::max(
-          best_window, knapsack::fractional_upper_bound(items, ant.capacity));
-    }
-    ceiling[j] = std::min(ant.capacity, best_window);
+    inst.in_range_customers(j, bands[j]);
+    ceiling[j] = std::min(ant.capacity, best_window_value(inst, ant, bands[j]));
+    for (std::size_t i : bands[j]) node[i] = 1;
   }
 
   // Flow: source -> customer (demand) -> in-range antenna -> sink (ceiling).
-  Dinic flow(n + k + 2);
+  // Customers no antenna reaches get no node: they carry no flow, and the
+  // others keep their BFS levels and edge order, so Dinic augments along
+  // the same paths in the same order and the value is bitwise unchanged.
+  std::size_t reached = 0;
+  for (std::size_t& v : node) {
+    if (v != 0) v = ++reached;
+  }
+  Dinic flow(reached + k + 2);
   const std::size_t source = 0;
-  const std::size_t sink = n + k + 1;
+  const std::size_t sink = reached + k + 1;
   constexpr double kInf = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < n; ++i) {
-    flow.add_edge(source, 1 + i, inst.demand(i));
+    if (node[i] != 0) flow.add_edge(source, node[i], inst.demand(i));
   }
   for (std::size_t j = 0; j < k; ++j) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (inst.in_range(i, j)) flow.add_edge(1 + i, 1 + n + j, kInf);
-    }
-    flow.add_edge(1 + n + j, sink, ceiling[j]);
+    const std::size_t antenna = reached + 1 + j;
+    for (std::size_t i : bands[j]) flow.add_edge(node[i], antenna, kInf);
+    flow.add_edge(antenna, sink, ceiling[j]);
   }
   const double value = flow.max_flow(source, sink, deadline);
   if (flow.truncated()) {

@@ -170,6 +170,24 @@ std::uint64_t IncrementalOracle::fingerprint() const noexcept {
                                    static_cast<std::uint64_t>(count_));
 }
 
+bool IncrementalOracle::replay(const OracleCache::Entry& entry,
+                               Result* out) const {
+  out->value = entry.value;
+  out->weight = entry.weight;
+  out->chosen.reserve(entry.chosen_ids.size());
+  for (std::size_t id : entry.chosen_ids) {
+    std::size_t pick = id;
+    if (!ids_.empty()) {
+      const auto it = std::lower_bound(ids_.begin(), ids_.end(), id);
+      if (it == ids_.end() || *it != id) return false;
+      pick = static_cast<std::size_t>(it - ids_.begin());
+    }
+    if (pick >= member_.size() || member_[pick] == 0) return false;
+    out->chosen.push_back(pick);
+  }
+  return true;
+}
+
 Result IncrementalOracle::solve(std::span<const std::size_t> members,
                                 IncrementalStats* stats) {
   SP_ASSERT(members.size() == count_);
@@ -178,21 +196,14 @@ Result IncrementalOracle::solve(std::span<const std::size_t> members,
   if (cache_ != nullptr) {
     OracleCache::Entry entry;
     if (cache_->lookup(key, &entry)) {
-      if (stats != nullptr) ++stats->cache_hits;
       Result res;
-      res.value = entry.value;
-      res.weight = entry.weight;
-      res.chosen.reserve(entry.chosen_ids.size());
-      for (std::size_t id : entry.chosen_ids) {
-        if (ids_.empty()) {
-          res.chosen.push_back(id);
-        } else {
-          const auto it = std::lower_bound(ids_.begin(), ids_.end(), id);
-          SP_ASSERT(it != ids_.end() && *it == id);
-          res.chosen.push_back(static_cast<std::size_t>(it - ids_.begin()));
-        }
+      if (replay(entry, &res)) {
+        if (stats != nullptr) ++stats->cache_hits;
+        return res;
       }
-      return res;
+      // A colliding key: solve as on a miss, which returns exactly what a
+      // genuine hit would have.
+      if (stats != nullptr) ++stats->cache_collisions;
     }
     if (stats != nullptr) ++stats->cache_misses;
   }

@@ -76,7 +76,8 @@ struct IncrementalStats {
   std::uint64_t skipped_by_sum = 0;    // value_sum() <= incumbent
   std::uint64_t skipped_by_bound = 0;  // upper_bound() <= incumbent
   std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
+  std::uint64_t cache_misses = 0;      // collisions included
+  std::uint64_t cache_collisions = 0;  // key found, entry failed the check
   std::uint64_t solves = 0;  // batch oracle.solve() calls (== cache_misses
                              // when a cache is attached)
 };
@@ -116,12 +117,20 @@ class IncrementalOracle {
   /// Batch-solve the current member set, presented in `members` order
   /// (must list exactly the current members; the caller walks windows so it
   /// owns the canonical CCW order). Returns chosen as universe indices,
-  /// ascending. Consults/feeds the cache when one is attached.
+  /// ascending. Consults/feeds the cache when one is attached; a cached
+  /// entry is used only if every id it picked is a current member, and is
+  /// otherwise counted as a collision and solved like a miss.
   [[nodiscard]] Result solve(std::span<const std::size_t> members,
                              IncrementalStats* stats);
 
  private:
   void fenwick_update(std::size_t slot, double dw, double dv, std::int64_t dc);
+  /// Maps a cached entry's stable ids into `*out` as universe indices.
+  /// False when some id is not in this universe or not a current member:
+  /// the 64-bit key collided with another member set's. Weights are fixed
+  /// while a cache lives, so a packing of current members still fits.
+  [[nodiscard]] bool replay(const OracleCache::Entry& entry,
+                            Result* out) const;
 
   std::span<const Item> universe_;
   std::span<const std::size_t> ids_;

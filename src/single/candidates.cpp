@@ -22,6 +22,8 @@ namespace {
   static const obs::Counter c_bound = obs::counter("oracle.skip_bound");
   static const obs::Counter c_hits = obs::counter("oracle.cache.hits");
   static const obs::Counter c_miss = obs::counter("oracle.cache.misses");
+  static const obs::Counter c_collide =
+      obs::counter("oracle.cache.collisions");
   static const obs::Counter c_solves = obs::counter("oracle.solves");
   c_steps.add(steps);
   c_enter.add(enters);
@@ -30,6 +32,7 @@ namespace {
   c_bound.add(stats.skipped_by_bound);
   c_hits.add(stats.cache_hits);
   c_miss.add(stats.cache_misses);
+  c_collide.add(stats.cache_collisions);
   c_solves.add(stats.solves);
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "src/knapsack/knapsack.hpp"
@@ -207,6 +209,60 @@ TEST(OracleCache, StableIdsBridgeDifferentLocalNumberings) {
   // Same stable ids behind each pick.
   for (std::size_t i = 0; i < ra.chosen.size(); ++i) {
     EXPECT_EQ(ids_a[ra.chosen[i]], ids_b[rb.chosen[i]]);
+  }
+}
+
+// A 64-bit key collision, forged: an entry stored under the current member
+// set's key whose ids are absent from the universe or not members of the
+// window. Each must be rejected, counted as a collision and a miss, and the
+// window solved exactly as without a cache.
+TEST(OracleCache, CollidingEntriesAreSolvedLikeMisses) {
+  sectorpack::sim::Rng rng(48);
+  const std::size_t n = 12;
+  const auto universe = random_universe(rng, n);
+  const knapsack::Oracle oracle = knapsack::Oracle::exact();
+  const std::vector<std::size_t> members = {1, 4, 6, 9};
+  std::vector<std::size_t> stable(n);
+  for (std::size_t i = 0; i < n; ++i) stable[i] = 100 + 10 * i;
+
+  knapsack::IncrementalOracle plain(universe, 60.0, oracle);
+  for (std::size_t m : members) plain.add(m);
+  const knapsack::Result want = plain.solve(members, nullptr);
+
+  struct Forgery {
+    bool with_ids;
+    std::vector<std::size_t> chosen_ids;
+    std::string what;
+  };
+  const std::size_t huge = std::numeric_limits<std::size_t>::max();
+  const std::vector<Forgery> forgeries = {
+      {false, {n}, "index past the universe"},
+      {false, {huge}, "index far past the universe"},
+      {false, {2}, "index of a non-member"},
+      {false, {1, 6, 7}, "members plus a non-member"},
+      {true, {105}, "id between two universe ids"},
+      {true, {huge}, "id past the last universe id"},
+      {true, {120}, "id of a non-member"},
+      {true, {110, 160, 170}, "member ids plus a non-member id"},
+  };
+  for (const Forgery& f : forgeries) {
+    knapsack::OracleCache cache;
+    knapsack::IncrementalOracle inc(
+        universe, 60.0, oracle, &cache,
+        f.with_ids ? std::span<const std::size_t>(stable)
+                   : std::span<const std::size_t>());
+    for (std::size_t m : members) inc.add(m);
+    cache.store(inc.fingerprint(), {1e9, 0.0, f.chosen_ids});
+
+    knapsack::IncrementalStats stats;
+    const knapsack::Result got = inc.solve(members, &stats);
+    EXPECT_EQ(stats.cache_collisions, 1u) << f.what;
+    EXPECT_EQ(stats.cache_misses, 1u) << f.what;
+    EXPECT_EQ(stats.cache_hits, 0u) << f.what;
+    EXPECT_EQ(stats.solves, stats.cache_misses) << f.what;
+    EXPECT_EQ(got.value, want.value) << f.what;
+    EXPECT_EQ(got.weight, want.weight) << f.what;
+    EXPECT_EQ(got.chosen, want.chosen) << f.what;
   }
 }
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/assign/assign.hpp"
+#include "src/bounds/upper.hpp"
 #include "src/geom/sector.hpp"
 #include "src/geom/sweep.hpp"
 #include "src/model/instance.hpp"
@@ -235,6 +236,8 @@ TEST(PolarGrid, SolversAreBitIdenticalAcrossModes) {
     const model::Solution s_flat = sectorpack::single::solve_greedy(inst);
     std::vector<double> alphas(inst.num_antennas(), 0.5);
     const auto e_flat = sectorpack::assign::compute_eligibility(inst, alphas);
+    const double of_flat = sectorpack::bounds::orientation_free_bound(inst);
+    const double fw_flat = sectorpack::bounds::flow_window_bound(inst);
 
     geom::set_spatial_index_mode(geom::SpatialIndexMode::kForceIndexed);
     const model::Solution g_idx = sectorpack::sectors::solve_greedy(inst);
@@ -242,6 +245,8 @@ TEST(PolarGrid, SolversAreBitIdenticalAcrossModes) {
         sectorpack::sectors::solve_local_search(inst);
     const model::Solution s_idx = sectorpack::single::solve_greedy(inst);
     const auto e_idx = sectorpack::assign::compute_eligibility(inst, alphas);
+    const double of_idx = sectorpack::bounds::orientation_free_bound(inst);
+    const double fw_idx = sectorpack::bounds::flow_window_bound(inst);
 
     EXPECT_EQ(g_flat.alpha, g_idx.alpha) << "seed " << seed;
     EXPECT_EQ(g_flat.assign, g_idx.assign);
@@ -251,6 +256,8 @@ TEST(PolarGrid, SolversAreBitIdenticalAcrossModes) {
     EXPECT_EQ(s_flat.assign, s_idx.assign);
     EXPECT_EQ(e_flat.per_antenna, e_idx.per_antenna);
     EXPECT_EQ(e_flat.per_customer, e_idx.per_customer);
+    EXPECT_EQ(of_flat, of_idx);
+    EXPECT_EQ(fw_flat, fw_idx);
   }
 }
 
