@@ -46,20 +46,6 @@ std::string to_prometheus(const Snapshot& snap) {
     os << "# TYPE " << n << " gauge\n" << n << " " << json_number(value)
        << "\n";
   }
-  for (const HistogramSnapshot& h : snap.histograms) {
-    const std::string n = prometheus_name(h.name);
-    os << "# TYPE " << n << " histogram\n";
-    std::uint64_t cumulative = 0;
-    for (std::size_t b = 0; b + 1 < kHistogramBuckets; ++b) {
-      cumulative += h.buckets[b];
-      // Upper bound of bucket b is the lower bound of bucket b+1; the
-      // unbounded last bucket is folded into the mandatory +Inf line.
-      prom_bucket_line(os, n, histogram_bucket_lower(b + 1), cumulative);
-    }
-    os << n << "_bucket{le=\"+Inf\"} " << h.count << "\n";
-    os << n << "_sum " << json_number(h.sum) << "\n";
-    os << n << "_count " << h.count << "\n";
-  }
   for (const HdrHistogramSnapshot& h : snap.hdr_histograms) {
     const std::string n = prometheus_name(h.name);
     os << "# TYPE " << n << " histogram\n";

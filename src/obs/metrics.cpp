@@ -3,6 +3,7 @@
 #include "src/core/sync.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -25,17 +26,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 bool enabled() noexcept { return g_enabled.load(std::memory_order_relaxed); }
 void set_enabled(bool on) noexcept {
   g_enabled.store(on, std::memory_order_relaxed);
-}
-
-std::size_t histogram_bucket_index(double value) noexcept {
-  if (!(value >= 1.0)) return 0;  // also catches NaN and negatives
-  const auto e = static_cast<std::size_t>(std::ilogb(value));  // floor(log2)
-  return std::min(e + 1, kHistogramBuckets - 1);
-}
-
-double histogram_bucket_lower(std::size_t bucket) noexcept {
-  if (bucket == 0) return 0.0;
-  return std::ldexp(1.0, static_cast<int>(bucket) - 1);
 }
 
 namespace {
@@ -83,13 +73,6 @@ namespace detail {
 // One writer thread's slice of the registry. Only the owning thread writes;
 // relaxed atomics let snapshot() read concurrently without tearing.
 struct Shard {
-  struct Hist {
-    std::array<std::atomic<std::uint64_t>, kHistogramBuckets> buckets{};
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<double> sum{0.0};
-    std::atomic<double> min{kInf};
-    std::atomic<double> max{-kInf};
-  };
   struct HdrSlot {
     std::array<std::atomic<std::uint64_t>, kHdrMaxBuckets> buckets{};
     std::atomic<std::uint64_t> count{0};
@@ -98,7 +81,6 @@ struct Shard {
     std::atomic<double> max{-kInf};
   };
   std::array<std::atomic<std::uint64_t>, kMaxCounters> counters{};
-  std::array<Hist, kMaxHistograms> hists{};
   std::array<HdrSlot, kMaxHdrHistograms> hdr{};
 
   void zero() {
@@ -106,14 +88,6 @@ struct Shard {
     // (Registry::reset) and concurrent writers/readers already tolerate
     // per-slot staleness, so no cross-slot ordering is needed.
     for (auto& c : counters) c.store(0, std::memory_order_relaxed);
-    for (auto& h : hists) {
-      for (auto& b : h.buckets) b.store(0, std::memory_order_relaxed);
-      h.count.store(0, std::memory_order_relaxed);
-      h.sum.store(0.0, std::memory_order_relaxed);
-      h.min.store(kInf, std::memory_order_relaxed);
-      h.max.store(-kInf, std::memory_order_relaxed);
-    }
-    // sp-sync: as above.
     for (auto& h : hdr) {
       for (auto& b : h.buckets) b.store(0, std::memory_order_relaxed);
       h.count.store(0, std::memory_order_relaxed);
@@ -132,7 +106,6 @@ struct State {
   // in local_shard()).
   std::vector<std::string> counter_names SP_GUARDED_BY(mu);  // slot -> name
   std::vector<std::string> gauge_names SP_GUARDED_BY(mu);
-  std::vector<std::string> hist_names SP_GUARDED_BY(mu);
   std::vector<std::string> hdr_names SP_GUARDED_BY(mu);
   std::vector<unsigned> hdr_sub_bits SP_GUARDED_BY(mu);  // || to hdr_names
   std::vector<std::shared_ptr<Shard>> shards
@@ -147,26 +120,12 @@ struct State {
 
 namespace {
 
-bool contains_name(const std::vector<std::string>& names,
-                   std::string_view name) {
-  for (const std::string& n : names) {
-    if (n == name) return true;
-  }
-  return false;
-}
-
 std::size_t register_name(State& st, std::vector<std::string>& names,
                           std::size_t limit, std::string_view name,
                           const char* kind) {
   core::LockGuard lock(st.mu);
   for (std::size_t i = 0; i < names.size(); ++i) {
     if (names[i] == name) return i;
-  }
-  // A fixed-bucket and an HDR histogram under one name would collide as
-  // duplicate keys in the snapshot's "histograms" JSON object.
-  if (&names == &st.hist_names && contains_name(st.hdr_names, name)) {
-    throw std::invalid_argument("obs: '" + std::string(name) +
-                                "' is already an hdr histogram");
   }
   if (names.size() >= limit) {
     throw std::length_error(std::string("obs: too many ") + kind +
@@ -187,10 +146,6 @@ std::size_t register_hdr(State& st, std::string_view name,
           "' re-registered with a different precision");
     }
     return i;
-  }
-  if (contains_name(st.hist_names, name)) {
-    throw std::invalid_argument("obs: '" + std::string(name) +
-                                "' is already a fixed-bucket histogram");
   }
   if (st.hdr_names.size() >= kMaxHdrHistograms) {
     throw std::length_error(
@@ -241,31 +196,12 @@ void Gauge::set(double value) const noexcept {
   state_->gauge_set[id_].store(true, std::memory_order_relaxed);
 }
 
-void Histogram::observe(double value) const noexcept {
-  if (!enabled() || state_ == nullptr) return;
-  detail::Shard::Hist& h = detail::local_shard(state_)->hists[id_];
-  // sp-sync: relaxed ops on single-writer shard slots; only the owning
-  // thread writes, so load-modify-store without CAS is race-free, and
-  // snapshot() accepts slightly-stale cross-thread reads.
-  h.buckets[histogram_bucket_index(value)].fetch_add(
-      1, std::memory_order_relaxed);
-  h.count.fetch_add(1, std::memory_order_relaxed);
-  h.sum.store(h.sum.load(std::memory_order_relaxed) + value,
-              std::memory_order_relaxed);
-  // sp-sync: as above (single-writer slot).
-  if (value < h.min.load(std::memory_order_relaxed)) {
-    h.min.store(value, std::memory_order_relaxed);
-  }
-  if (value > h.max.load(std::memory_order_relaxed)) {
-    h.max.store(value, std::memory_order_relaxed);
-  }
-}
-
 void HdrHistogram::observe(double value) const noexcept {
   if (!enabled() || state_ == nullptr) return;
   detail::Shard::HdrSlot& h = detail::local_shard(state_)->hdr[id_];
-  // sp-sync: relaxed ops on single-writer shard slots (see
-  // Histogram::observe above).
+  // sp-sync: relaxed ops on single-writer shard slots; only the owning
+  // thread writes, so load-modify-store without CAS is race-free, and
+  // snapshot() accepts slightly-stale cross-thread reads.
   h.buckets[hdr_bucket_index(value, sub_bits_)].fetch_add(
       1, std::memory_order_relaxed);
   h.count.fetch_add(1, std::memory_order_relaxed);
@@ -302,12 +238,6 @@ Gauge Registry::gauge(std::string_view name) {
   return Gauge(state_, id);
 }
 
-Histogram Registry::histogram(std::string_view name) {
-  const std::size_t id = detail::register_name(
-      *state_, state_->hist_names, kMaxHistograms, name, "histogram");
-  return Histogram(state_, id);
-}
-
 HdrHistogram Registry::hdr_histogram(std::string_view name,
                                      unsigned sub_bits) {
   const unsigned bits = std::clamp(sub_bits, 1u, kHdrMaxSubBits);
@@ -337,29 +267,6 @@ Snapshot Registry::snapshot() const {
     snap.gauges.emplace_back(
         state_->gauge_names[i],
         state_->gauges[i].load(std::memory_order_relaxed));
-  }
-
-  for (std::size_t i = 0; i < state_->hist_names.size(); ++i) {
-    HistogramSnapshot h;
-    h.name = state_->hist_names[i];
-    h.min = kInf;
-    h.max = -kInf;
-    // sp-sync: as above (best-effort snapshot reads).
-    for (const auto& shard : state_->shards) {
-      const detail::Shard::Hist& sh = shard->hists[i];
-      h.count += sh.count.load(std::memory_order_relaxed);
-      h.sum += sh.sum.load(std::memory_order_relaxed);
-      h.min = std::min(h.min, sh.min.load(std::memory_order_relaxed));
-      h.max = std::max(h.max, sh.max.load(std::memory_order_relaxed));
-      for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
-        h.buckets[b] += sh.buckets[b].load(std::memory_order_relaxed);
-      }
-    }
-    if (h.count == 0) {
-      h.min = 0.0;
-      h.max = 0.0;
-    }
-    snap.histograms.push_back(std::move(h));
   }
 
   std::vector<std::uint64_t> merged;
@@ -399,10 +306,6 @@ Snapshot Registry::snapshot() const {
   };
   std::sort(snap.counters.begin(), snap.counters.end(), by_name);
   std::sort(snap.gauges.begin(), snap.gauges.end(), by_name);
-  std::sort(snap.histograms.begin(), snap.histograms.end(),
-            [](const HistogramSnapshot& a, const HistogramSnapshot& b) {
-              return a.name < b.name;
-            });
   std::sort(snap.hdr_histograms.begin(), snap.hdr_histograms.end(),
             [](const HdrHistogramSnapshot& a, const HdrHistogramSnapshot& b) {
               return a.name < b.name;
@@ -428,45 +331,11 @@ Counter counter(std::string_view name) {
   return Registry::global().counter(name);
 }
 Gauge gauge(std::string_view name) { return Registry::global().gauge(name); }
-Histogram histogram(std::string_view name) {
-  return Registry::global().histogram(name);
-}
 HdrHistogram hdr_histogram(std::string_view name, unsigned sub_bits) {
   return Registry::global().hdr_histogram(name, sub_bits);
 }
 Snapshot snapshot() { return Registry::global().snapshot(); }
 void reset() { Registry::global().reset(); }
-
-double HistogramSnapshot::mean() const noexcept {
-  return count == 0 ? 0.0 : sum / static_cast<double>(count);
-}
-
-double HistogramSnapshot::quantile(double q) const noexcept {
-  if (count == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(count);
-  std::uint64_t seen = 0;
-  for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
-    if (buckets[b] == 0) continue;
-    const auto next = static_cast<double>(seen + buckets[b]);
-    if (next >= target) {
-      // Interpolate inside bucket b, clamped to the observed range.
-      double lo = std::max(histogram_bucket_lower(b), min);
-      double hi = b + 1 < kHistogramBuckets
-                      ? std::min(histogram_bucket_lower(b + 1), max)
-                      : max;
-      if (hi < lo) hi = lo;
-      const double within =
-          buckets[b] == 0
-              ? 0.0
-              : (target - static_cast<double>(seen)) /
-                    static_cast<double>(buckets[b]);
-      return lo + (hi - lo) * std::clamp(within, 0.0, 1.0);
-    }
-    seen += buckets[b];
-  }
-  return max;
-}
 
 double HdrHistogramSnapshot::mean() const noexcept {
   return count == 0 ? 0.0 : sum / static_cast<double>(count);
@@ -571,29 +440,9 @@ std::string Snapshot::to_json() const {
        << "\":" << json_number(gauges[i].second);
   }
   os << "},\"histograms\":{";
-  for (std::size_t i = 0; i < histograms.size(); ++i) {
-    const HistogramSnapshot& h = histograms[i];
-    if (i > 0) os << ",";
-    os << "\"" << json_escape(h.name) << "\":{\"count\":" << h.count
-       << ",\"sum\":" << json_number(h.sum)
-       << ",\"min\":" << json_number(h.min)
-       << ",\"max\":" << json_number(h.max)
-       << ",\"p50\":" << json_number(h.quantile(0.5))
-       << ",\"p95\":" << json_number(h.quantile(0.95))
-       << ",\"p99\":" << json_number(h.quantile(0.99)) << ",\"buckets\":[";
-    bool first = true;
-    for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
-      if (h.buckets[b] == 0) continue;
-      if (!first) os << ",";
-      first = false;
-      os << "[" << json_number(histogram_bucket_lower(b)) << ","
-         << h.buckets[b] << "]";
-    }
-    os << "]}";
-  }
   for (std::size_t i = 0; i < hdr_histograms.size(); ++i) {
     const HdrHistogramSnapshot& h = hdr_histograms[i];
-    if (i > 0 || !histograms.empty()) os << ",";
+    if (i > 0) os << ",";
     os << "\"" << json_escape(h.name) << "\":{\"count\":" << h.count
        << ",\"sum\":" << json_number(h.sum)
        << ",\"min\":" << json_number(h.min)
@@ -622,13 +471,6 @@ std::string Snapshot::to_text() const {
   }
   for (const auto& [name, value] : gauges) {
     os << name << " " << json_number(value) << "\n";
-  }
-  for (const HistogramSnapshot& h : histograms) {
-    os << h.name << " count=" << h.count << " mean=" << json_number(h.mean())
-       << " min=" << json_number(h.min) << " p50="
-       << json_number(h.quantile(0.5)) << " p95="
-       << json_number(h.quantile(0.95)) << " max=" << json_number(h.max)
-       << "\n";
   }
   for (const HdrHistogramSnapshot& h : hdr_histograms) {
     os << h.name << " count=" << h.count << " mean=" << json_number(h.mean())

@@ -1,6 +1,6 @@
 #pragma once
-// Solver telemetry: named counters, gauges, and fixed-bucket histograms
-// behind a process-wide enable switch.
+// Solver telemetry: named counters, gauges, and log-linear (HDR-style)
+// histograms behind a process-wide enable switch.
 //
 // Design:
 //  * Hot-path writes go to lock-free per-thread shards: each shard is only
@@ -20,7 +20,6 @@
 // e.g. `anneal.accepted`, `dinic.augmenting_paths`, `cli.solve_ms`, and the
 // batch engine's `srv.*` family (docs/serving.md).
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -38,14 +37,6 @@ void set_enabled(bool on) noexcept;
 // reallocation; registering more names than a limit throws std::length_error.
 inline constexpr std::size_t kMaxCounters = 128;
 inline constexpr std::size_t kMaxGauges = 64;
-inline constexpr std::size_t kMaxHistograms = 64;
-
-/// Histogram buckets are fixed powers of two: bucket 0 holds values < 1,
-/// bucket i >= 1 holds [2^(i-1), 2^i), and the last bucket is unbounded.
-/// Units are the caller's choice (latency metrics here use microseconds).
-inline constexpr std::size_t kHistogramBuckets = 40;
-[[nodiscard]] std::size_t histogram_bucket_index(double value) noexcept;
-[[nodiscard]] double histogram_bucket_lower(std::size_t bucket) noexcept;
 
 // ---------------------------------------------------------------------------
 // Log-linear (HDR-style) histograms: each power-of-two octave is split into
@@ -81,20 +72,6 @@ namespace detail {
 struct State;
 }  // namespace detail
 
-struct HistogramSnapshot {
-  std::string name;
-  std::uint64_t count = 0;
-  double sum = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  std::array<std::uint64_t, kHistogramBuckets> buckets{};
-
-  [[nodiscard]] double mean() const noexcept;
-  /// Bucket-interpolated quantile estimate, q in [0, 1]. Exact at the
-  /// recorded min/max; within a bucket, linear between its bounds.
-  [[nodiscard]] double quantile(double q) const noexcept;
-};
-
 struct HdrHistogramSnapshot {
   std::string name;
   unsigned sub_bits = kHdrDefaultSubBits;
@@ -116,7 +93,6 @@ struct HdrHistogramSnapshot {
 struct Snapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;
-  std::vector<HistogramSnapshot> histograms;
   std::vector<HdrHistogramSnapshot> hdr_histograms;
 
   [[nodiscard]] std::uint64_t counter(std::string_view name) const noexcept;
@@ -157,22 +133,8 @@ class Gauge {
   std::size_t id_ = 0;
 };
 
-/// Fixed-bucket distribution with count/sum/min/max.
-class Histogram {
- public:
-  Histogram() = default;
-  void observe(double value) const noexcept;
-
- private:
-  friend class Registry;
-  Histogram(std::shared_ptr<detail::State> state, std::size_t id) noexcept
-      : state_(std::move(state)), id_(id) {}
-  std::shared_ptr<detail::State> state_;
-  std::size_t id_ = 0;
-};
-
-/// Log-linear distribution with accurate quantiles (see the constants
-/// above); same lock-free per-thread shard discipline as Histogram.
+/// Log-linear distribution with count/sum/min/max and accurate quantiles
+/// (see the constants above).
 class HdrHistogram {
  public:
   HdrHistogram() = default;
@@ -199,11 +161,9 @@ class Registry {
   /// return handles to the same slot.
   [[nodiscard]] Counter counter(std::string_view name);
   [[nodiscard]] Gauge gauge(std::string_view name);
-  [[nodiscard]] Histogram histogram(std::string_view name);
   /// sub_bits is clamped to [1, kHdrMaxSubBits]. Re-registering the same
-  /// name with a different precision, or reusing a fixed-bucket histogram
-  /// name (and vice versa), throws std::invalid_argument: one name must
-  /// mean one distribution in the snapshot.
+  /// name with a different precision throws std::invalid_argument: one
+  /// name must mean one distribution in the snapshot.
   [[nodiscard]] HdrHistogram hdr_histogram(
       std::string_view name, unsigned sub_bits = kHdrDefaultSubBits);
 
@@ -225,7 +185,6 @@ class Registry {
 /// Shorthands on the global registry.
 [[nodiscard]] Counter counter(std::string_view name);
 [[nodiscard]] Gauge gauge(std::string_view name);
-[[nodiscard]] Histogram histogram(std::string_view name);
 [[nodiscard]] HdrHistogram hdr_histogram(
     std::string_view name, unsigned sub_bits = kHdrDefaultSubBits);
 [[nodiscard]] Snapshot snapshot();

@@ -1,28 +1,12 @@
 #include "src/obs/slo.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 
+#include "src/bench_util/stats.hpp"
 #include "src/obs/metrics.hpp"
 
 namespace sectorpack::obs {
-
-namespace {
-
-/// Nearest-rank percentile over a sorted window (the bench_util convention:
-/// rank = ceil(p * n), 1-based, clamped). Exact, no interpolation.
-double nearest_rank(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const auto n = static_cast<double>(sorted.size());
-  // The epsilon keeps e.g. p=0.5 over 10 samples at rank 5, not 6, when
-  // p * n lands exactly on an integer boundary under rounding.
-  auto rank = static_cast<std::size_t>(std::ceil(p * n - 1e-9));
-  rank = std::clamp<std::size_t>(rank, 1, sorted.size());
-  return sorted[rank - 1];
-}
-
-}  // namespace
 
 SloTracker::SloTracker(std::size_t window)
     : ring_(std::max<std::size_t>(window, 1)) {}
@@ -63,10 +47,9 @@ SloTracker::Summary SloTracker::summary() const {
                                           static_cast<double>(answered)
                                     : 0.0;
   }
-  std::sort(latencies.begin(), latencies.end());
-  s.p50_ms = nearest_rank(latencies, 0.50);
-  s.p95_ms = nearest_rank(latencies, 0.95);
-  s.p99_ms = nearest_rank(latencies, 0.99);
+  s.p50_ms = bench_util::percentile(latencies, 0.50);
+  s.p95_ms = bench_util::percentile(latencies, 0.95);
+  s.p99_ms = bench_util::percentile(latencies, 0.99);
   return s;
 }
 

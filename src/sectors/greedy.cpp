@@ -2,27 +2,15 @@
 
 #include "src/assign/assign.hpp"
 #include "src/knapsack/incremental.hpp"
-#include "src/par/parallel_for.hpp"
 #include "src/sectors/sectors.hpp"
-#include "src/single/single.hpp"
 #include "src/verify/verify.hpp"
 
 namespace sectorpack::sectors {
 
-namespace {
-
-// One round's verdict for a single antenna: its best window over the still-
-// unserved customers, with picks already remapped to instance indices.
-struct AntennaPick {
-  double value = 0.0;
-  std::size_t j = 0;
-  single::WindowChoice choice;
-};
-
-}  // namespace
-
-model::Solution solve_greedy(const model::Instance& inst,
-                             const GreedyConfig& config) {
+model::Solution greedy_rounds(const model::Instance& inst,
+                              const core::Deadline& deadline,
+                              const GreedyEval& evaluate,
+                              const GreedyCommit& committed) {
   const std::size_t n = inst.num_customers();
   const std::size_t k = inst.num_antennas();
 
@@ -31,117 +19,98 @@ model::Solution solve_greedy(const model::Instance& inst,
   std::vector<bool> used(k, false);
 
   // When all antennas are identical, every unused antenna sees the same
-  // sweep each round; compute it once and hand it to the lowest-index one.
+  // sweep each round; only the lowest-index one is evaluated.
   const bool identical = inst.antennas_identical();
 
+  for (std::size_t round = 0; round < k; ++round) {
+    // First antenna achieving the maximum: a later one replaces the
+    // incumbent only on strictly greater value, and a verdict worth nothing
+    // never commits.
+    std::size_t best_j = k;
+    single::WindowChoice best;
+    for (std::size_t j = 0; j < k; ++j) {
+      if (used[j]) continue;
+      single::WindowChoice pick = evaluate(j, served);
+      if (pick.value > best.value) {
+        best = std::move(pick);
+        best_j = j;
+      }
+      if (identical) break;
+    }
+
+    if (best_j < k) {
+      used[best_j] = true;
+      sol.alpha[best_j] = best.alpha;
+      for (const std::size_t i : best.chosen) {
+        served[i] = true;
+        sol.assign[i] = static_cast<std::int32_t>(best_j);
+      }
+      if (committed) committed(best_j, best);
+    }
+    // Deadline check per greedy round: the committed prefix of rounds is a
+    // feasible solution in its own right, so it is the natural incumbent.
+    // Expiry latches, so this also catches sweeps truncated mid-round: the
+    // committed pick stays (it is feasible), later rounds are abandoned.
+    if (deadline.expired()) {
+      sol.status = model::SolveStatus::kBudgetExhausted;
+      return sol;
+    }
+    if (best_j == k) break;  // no antenna can serve anything further
+  }
+  return sol;
+}
+
+single::WindowChoice sweep_unserved(const model::Instance& inst,
+                                    std::size_t j,
+                                    const std::vector<bool>& served,
+                                    const GreedyConfig& config,
+                                    knapsack::OracleCache* cache,
+                                    std::span<const std::size_t> ids) {
+  // Radial filter via the crossover helper (flat below the threshold,
+  // polar grid above; candidates come back in ascending instance order
+  // either way, so the served-filter below sees the same sequence the
+  // old flat loop produced).
+  std::vector<std::size_t> in_band;
+  inst.in_range_customers(j, in_band);
+  std::vector<double> thetas;
+  std::vector<double> values;
+  std::vector<double> demands;
+  std::vector<std::size_t> index;
+  std::vector<std::size_t> stable;
+  for (const std::size_t i : in_band) {
+    if (served[i]) continue;
+    thetas.push_back(inst.theta(i));
+    values.push_back(inst.value(i));
+    demands.push_back(inst.demand(i));
+    index.push_back(i);
+    if (!ids.empty()) stable.push_back(ids[i]);
+  }
+  single::WindowChoice choice = single::best_window_weighted(
+      thetas, values, demands, inst.antenna(j).rho, inst.antenna(j).capacity,
+      config.oracle, /*parallel=*/false, nullptr, cache,
+      ids.empty() ? index : stable, config.solve.deadline);
+  for (std::size_t& c : choice.chosen) c = index[c];
+  return choice;
+}
+
+model::Solution solve_greedy(const model::Instance& inst,
+                             const GreedyConfig& config) {
   // Window memo, per antenna, surviving across rounds: away from the window
   // committed last round the unserved set -- and hence most windows' member
   // fingerprints -- is unchanged, so later rounds mostly replay cached
   // packings. Identical antennas share one cache (same capacity, same
   // windows).
-  std::vector<knapsack::OracleCache> caches(identical ? 1 : k);
-
-  // Evaluates antenna j against the current unserved set. Thread-confined:
-  // scratch lives on the calling worker's stack, the shared cache is
-  // internally synchronized, and `served`/`sol` are only read here.
-  const auto evaluate = [&](std::size_t j, bool window_parallel) {
-    AntennaPick pick;
-    pick.j = j;
-    // Radial filter via the crossover helper (flat below the threshold,
-    // polar grid above; candidates come back in ascending instance order
-    // either way, so the served-filter below sees the same sequence the
-    // old flat loop produced).
-    std::vector<std::size_t> in_band;
-    inst.in_range_customers(j, in_band);
-    std::vector<double> thetas;
-    std::vector<double> values;
-    std::vector<double> demands;
-    std::vector<std::size_t> index;
-    for (std::size_t i : in_band) {
-      if (!served[i]) {
-        thetas.push_back(inst.theta(i));
-        values.push_back(inst.value(i));
-        demands.push_back(inst.demand(i));
-        index.push_back(i);
-      }
-    }
-    pick.choice = single::best_window_weighted(
-        thetas, values, demands, inst.antenna(j).rho, inst.antenna(j).capacity,
-        config.oracle, window_parallel, nullptr,
-        &caches[identical ? 0 : j], index, config.solve.deadline);
-    pick.value = pick.choice.value;
-    // Remap local picks to instance customer indices now, while the index
-    // map for antenna j is live.
-    for (std::size_t& c : pick.choice.chosen) c = index[c];
-    return pick;
-  };
-
-  // Deadline check per greedy round: the committed prefix of rounds is a
-  // feasible solution in its own right, so it is the natural incumbent.
-  const core::Deadline& deadline = config.solve.deadline;
-  for (std::size_t round = 0; round < k; ++round) {
-    AntennaPick best;
-    bool have_best = false;
-
-    if (identical) {
-      // Same result for every unused antenna: evaluate the lowest-index one
-      // and parallelize across its windows instead.
-      for (std::size_t j = 0; j < k; ++j) {
-        if (used[j]) continue;
-        best = evaluate(j, config.parallel);
-        have_best = best.value > 0.0;
-        break;
-      }
-    } else if (config.parallel && k > 1) {
-      // Per-antenna argmax over the pool. Deterministic: chunks are
-      // combined in ascending antenna order and a later antenna replaces
-      // the incumbent only on strictly greater value, which reproduces the
-      // serial "first antenna achieving the maximum" rule exactly.
-      best = par::parallel_reduce<AntennaPick>(
-          k, /*grain=*/1, AntennaPick{},
-          [&](std::size_t b, std::size_t e) {
-            AntennaPick chunk_best;
-            for (std::size_t j = b; j < e; ++j) {
-              if (used[j]) continue;
-              AntennaPick pick = evaluate(j, false);
-              if (pick.value > chunk_best.value) {
-                chunk_best = std::move(pick);
-              }
-            }
-            return chunk_best;
-          },
-          [](AntennaPick a, AntennaPick b) {
-            return b.value > a.value ? std::move(b) : std::move(a);
-          });
-      have_best = best.value > 0.0;
-    } else {
-      for (std::size_t j = 0; j < k; ++j) {
-        if (used[j]) continue;
-        AntennaPick pick = evaluate(j, false);
-        if (pick.value > best.value) {
-          best = std::move(pick);
-          have_best = true;
-        }
-      }
-    }
-
-    if (have_best) {
-      used[best.j] = true;
-      sol.alpha[best.j] = best.choice.alpha;
-      for (std::size_t i : best.choice.chosen) {
-        served[i] = true;
-        sol.assign[i] = static_cast<std::int32_t>(best.j);
-      }
-    }
-    // Expiry latches, so this also catches sweeps truncated mid-round: the
-    // committed pick stays (it is feasible), later rounds are abandoned.
-    if (deadline.expired()) {
-      sol.status = model::SolveStatus::kBudgetExhausted;
-      core::note_expired("sectors_greedy");
-      verify::debug_postcondition(inst, sol, "sectors.greedy");
-      return sol;
-    }
-    if (!have_best) break;  // no antenna can serve anything further
+  const bool identical = inst.antennas_identical();
+  std::vector<knapsack::OracleCache> caches(identical ? 1
+                                                      : inst.num_antennas());
+  model::Solution sol = greedy_rounds(
+      inst, config.solve.deadline,
+      [&](std::size_t j, const std::vector<bool>& served) {
+        return sweep_unserved(inst, j, served, config,
+                              &caches[identical ? 0 : j]);
+      });
+  if (sol.status == model::SolveStatus::kBudgetExhausted) {
+    core::note_expired("sectors_greedy");
   }
   verify::debug_postcondition(inst, sol, "sectors.greedy");
   return sol;

@@ -82,7 +82,7 @@ model::Solution improve(const model::Instance& inst, model::Solution start,
       }
       const single::WindowChoice choice = single::best_window_weighted(
           thetas, values, demands, inst.antenna(j).rho,
-          inst.antenna(j).capacity, config.oracle, config.parallel,
+          inst.antenna(j).capacity, config.oracle, /*parallel=*/false,
           /*pool=*/nullptr, &caches[j], index, deadline);
       if (!choice.complete) expired = true;
       // A truncated sweep's incumbent is still a valid (possibly weaker)
@@ -136,7 +136,6 @@ model::Solution solve_local_search(const model::Instance& inst,
                                    const LocalSearchConfig& config) {
   GreedyConfig gc;
   gc.oracle = config.oracle;
-  gc.parallel = config.parallel;
   gc.solve = config.solve;
   return improve(inst, solve_greedy(inst, gc), config);
 }

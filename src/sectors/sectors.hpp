@@ -22,9 +22,15 @@
 // per antenna since each customer is served by at most one antenna) with
 // exact assignment per tuple. Exponential; reference for small instances.
 
+#include <functional>
+#include <span>
+#include <vector>
+
 #include "src/core/deadline.hpp"
+#include "src/knapsack/incremental.hpp"
 #include "src/knapsack/knapsack.hpp"
 #include "src/model/solution.hpp"
+#include "src/single/single.hpp"
 
 namespace sectorpack::sectors {
 
@@ -35,17 +41,45 @@ namespace sectorpack::sectors {
 
 struct GreedyConfig {
   knapsack::Oracle oracle = knapsack::Oracle::exact();
-  bool parallel = false;  // parallelize each round's window sweeps
   core::SolveOptions solve;
 };
 
 [[nodiscard]] model::Solution solve_greedy(const model::Instance& inst,
                                            const GreedyConfig& config = {});
 
+/// Antenna j's verdict for one round, over the customers not yet `served`,
+/// with `chosen` holding instance indices.
+using GreedyEval = std::function<single::WindowChoice(
+    std::size_t j, const std::vector<bool>& served)>;
+/// Told each committed antenna and its verdict, after the commit.
+using GreedyCommit =
+    std::function<void(std::size_t j, const single::WindowChoice& pick)>;
+
+/// The greedy round loop: solve_greedy is this loop with sweep_unserved as
+/// `evaluate`, and the serve session's memo replay (src/srv/session.cpp)
+/// drives it with a memo-then-sweep hook, so the two cannot drift. Each of
+/// at most k rounds evaluates every unused antenna (only the lowest unused
+/// one when all antennas are identical), commits the first maximum of
+/// positive value and reports it to `committed`. The loop stops when no
+/// antenna gains anything, or -- status kBudgetExhausted -- when `deadline`
+/// has expired after a round's commit. It neither records the expiry nor
+/// checks the result; callers do.
+[[nodiscard]] model::Solution greedy_rounds(
+    const model::Instance& inst, const core::Deadline& deadline,
+    const GreedyEval& evaluate, const GreedyCommit& committed = nullptr);
+
+/// One (antenna, round) evaluation: antenna j's in-range customers not yet
+/// `served`, swept by single::best_window_weighted with config.oracle under
+/// config.solve.deadline; picks come back as instance indices. `ids[i]` is
+/// customer i's stable `cache` id (empty: the instance index).
+[[nodiscard]] single::WindowChoice sweep_unserved(
+    const model::Instance& inst, std::size_t j,
+    const std::vector<bool>& served, const GreedyConfig& config,
+    knapsack::OracleCache* cache, std::span<const std::size_t> ids = {});
+
 struct LocalSearchConfig {
   knapsack::Oracle oracle = knapsack::Oracle::exact();
   std::size_t max_passes = 16;  // full antenna sweeps without improvement cap
-  bool parallel = false;
   core::SolveOptions solve;
 };
 

@@ -192,7 +192,6 @@ model::Solution solve(const model::Instance& inst, const ShardConfig& config,
   const auto solve_one = [&](Sub& sub) {
     sectors::GreedyConfig gc;
     gc.oracle = config.oracle;
-    gc.parallel = false;  // parallelism lives across shards, not within
     gc.solve = sub_opts;
     if (global.limited()) {
       gc.solve.deadline = core::Deadline::after_at_most(slice_seconds, global);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <istream>
 #include <map>
 #include <ostream>
@@ -28,45 +27,6 @@
 
 namespace sectorpack::srv {
 
-namespace {
-
-// Largest double that still identifies one integer exactly; JSON carries
-// seeds/iterations as doubles, and an imprecise integer field is a typo,
-// not a request.
-constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
-
-// Reject absurd per-request budgets at parse time. Anything above ~3 years
-// is indistinguishable from "no limit" but would historically overflow the
-// deadline's duration cast (Deadline::after now clamps too -- this is the
-// protocol-level bound, that is the defense in depth).
-constexpr double kMaxTimeLimitSeconds = 1e8;
-
-std::uint64_t require_integer_field(const char* name, double value) {
-  if (!(value >= 0.0) || value > kMaxExactInteger ||
-      std::floor(value) != value) {
-    throw std::runtime_error(std::string("field '") + name +
-                             "' must be a non-negative integer");
-  }
-  return static_cast<std::uint64_t>(value);
-}
-
-const JsonValue* find_field(const JsonObject& object, const char* name) {
-  const auto it = object.find(name);
-  return it == object.end() ? nullptr : &it->second;
-}
-
-std::string require_string_field(const JsonObject& object, const char* name) {
-  const JsonValue* v = find_field(object, name);
-  if (v == nullptr) return {};
-  if (v->kind != JsonValue::Kind::kString) {
-    throw std::runtime_error(std::string("field '") + name +
-                             "' must be a string");
-  }
-  return v->string;
-}
-
-}  // namespace
-
 const char* to_string(RequestStatus status) noexcept {
   switch (status) {
     case RequestStatus::kOk: return "ok";
@@ -90,27 +50,16 @@ model::Solution run_solver(const model::Instance& inst, const SolverKey& key,
   return family->run(inst, key, opts);
 }
 
-Request parse_request(const std::string& line, std::size_t index) {
-  const JsonObject object = parse_flat_object(line);
-  for (const auto& [key, value] : object) {
-    if (key != "id" && key != "instance" && key != "instance_file" &&
-        key != "solver" && key != "seed" && key != "iterations" &&
-        key != "portfolio" && key != "time_limit") {
-      throw std::runtime_error("unknown request field '" + key + "'");
-    }
-  }
-
+Request parse_solve_fields(const JsonObject& object) {
   Request req;
-  req.index = index;
-  req.id = require_string_field(object, "id");
-  req.instance_file = require_string_field(object, "instance_file");
-  req.instance_text = require_string_field(object, "instance");
+  req.instance_file = optional_string_field(object, "instance_file");
+  req.instance_text = optional_string_field(object, "instance");
   if (req.instance_file.empty() == req.instance_text.empty()) {
     throw std::runtime_error(
         "exactly one of 'instance_file' and 'instance' is required");
   }
 
-  const std::string family = require_string_field(object, "solver");
+  const std::string family = optional_string_field(object, "solver");
   if (!family.empty()) req.solver.family = family;
   if (!is_known_solver(req.solver.family)) {
     throw std::runtime_error("unknown solver '" + req.solver.family + "'");
@@ -120,13 +69,13 @@ Request parse_request(const std::string& line, std::size_t index) {
     if (seed->kind != JsonValue::Kind::kNumber) {
       throw std::runtime_error("field 'seed' must be a number");
     }
-    req.solver.seed = require_integer_field("seed", seed->number);
+    req.solver.seed = require_integer("seed", seed->number);
   }
   if (const JsonValue* iters = find_field(object, "iterations")) {
     if (iters->kind != JsonValue::Kind::kNumber) {
       throw std::runtime_error("field 'iterations' must be a number");
     }
-    req.solver.iterations = require_integer_field("iterations", iters->number);
+    req.solver.iterations = require_integer("iterations", iters->number);
   }
   if (const JsonValue* portfolio = find_field(object, "portfolio")) {
     if (portfolio->kind != JsonValue::Kind::kString) {
@@ -141,17 +90,23 @@ Request parse_request(const std::string& line, std::size_t index) {
     (void)race::parse_portfolio(portfolio->string);
     req.solver.portfolio = portfolio->string;
   }
-  if (const JsonValue* limit = find_field(object, "time_limit")) {
-    if (limit->kind != JsonValue::Kind::kNumber || !(limit->number >= 0.0) ||
-        std::isnan(limit->number)) {
-      throw std::runtime_error("field 'time_limit' must be a number >= 0");
+  req.time_limit = optional_time_limit(object);
+  return req;
+}
+
+Request parse_request(const std::string& line, std::size_t index) {
+  const JsonObject object = parse_flat_object(line);
+  for (const auto& [key, value] : object) {
+    if (key != "id" && key != "instance" && key != "instance_file" &&
+        key != "solver" && key != "seed" && key != "iterations" &&
+        key != "portfolio" && key != "time_limit") {
+      throw std::runtime_error("unknown request field '" + key + "'");
     }
-    if (limit->number > kMaxTimeLimitSeconds) {
-      throw std::runtime_error(
-          "field 'time_limit' out of range (max 1e8 seconds)");
-    }
-    req.time_limit = limit->number;
   }
+  std::string id = optional_string_field(object, "id");
+  Request req = parse_solve_fields(object);
+  req.index = index;
+  req.id = std::move(id);
   return req;
 }
 

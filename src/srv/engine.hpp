@@ -30,6 +30,7 @@
 #include "src/core/deadline.hpp"
 #include "src/model/solution.hpp"
 #include "src/srv/fingerprint.hpp"
+#include "src/srv/jsonl.hpp"
 
 namespace sectorpack::srv {
 
@@ -110,5 +111,13 @@ BatchReport run_batch(std::istream& in, std::ostream& out,
 /// Throws std::runtime_error naming the offending field.
 [[nodiscard]] Request parse_request(const std::string& line,
                                     std::size_t index);
+
+/// The solve fields a batch request and a serve `register` op share:
+/// exactly one of `instance_file` and `instance`, then `solver` (a known
+/// family), `seed`, `iterations`, `portfolio` (solver "race" only) and
+/// `time_limit`, checked in that order. Index and id stay default; each
+/// parser keeps its own unknown-field check. Throws std::runtime_error
+/// naming the offending field.
+[[nodiscard]] Request parse_solve_fields(const JsonObject& object);
 
 }  // namespace sectorpack::srv

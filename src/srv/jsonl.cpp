@@ -1,6 +1,7 @@
 #include "src/srv/jsonl.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <stdexcept>
 
 namespace sectorpack::srv {
@@ -247,6 +248,46 @@ JsonObject parse_flat_object(std::string_view line) {
   cur.skip_ws();
   if (!cur.at_end()) cur.fail("trailing bytes after object");
   return object;
+}
+
+const JsonValue* find_field(const JsonObject& object, const char* name) {
+  const auto it = object.find(name);
+  return it == object.end() ? nullptr : &it->second;
+}
+
+std::string optional_string_field(const JsonObject& object, const char* name) {
+  const JsonValue* v = find_field(object, name);
+  if (v == nullptr) return {};
+  if (v->kind != JsonValue::Kind::kString) {
+    throw std::runtime_error(std::string("field '") + name +
+                             "' must be a string");
+  }
+  return v->string;
+}
+
+std::uint64_t require_integer(const char* name, double value) {
+  constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
+  if (!(value >= 0.0) || value > kMaxExactInteger ||
+      std::floor(value) != value) {
+    throw std::runtime_error(std::string("field '") + name +
+                             "' must be a non-negative integer");
+  }
+  return static_cast<std::uint64_t>(value);
+}
+
+double optional_time_limit(const JsonObject& object) {
+  constexpr double kMaxTimeLimitSeconds = 1e8;
+  const JsonValue* limit = find_field(object, "time_limit");
+  if (limit == nullptr) return -1.0;
+  if (limit->kind != JsonValue::Kind::kNumber || !(limit->number >= 0.0) ||
+      std::isnan(limit->number)) {
+    throw std::runtime_error("field 'time_limit' must be a number >= 0");
+  }
+  if (limit->number > kMaxTimeLimitSeconds) {
+    throw std::runtime_error(
+        "field 'time_limit' out of range (max 1e8 seconds)");
+  }
+  return limit->number;
 }
 
 }  // namespace sectorpack::srv

@@ -9,6 +9,7 @@
 // std::runtime_error naming what broke. Responses are emitted with the
 // JSON string/number formatters shared with the obs snapshot writer.
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
@@ -31,5 +32,24 @@ using JsonObject = std::map<std::string, JsonValue>;
 /// std::runtime_error on any syntax error, nesting, duplicate key, or
 /// trailing non-whitespace.
 [[nodiscard]] JsonObject parse_flat_object(std::string_view line);
+
+// Field getters shared by the batch and serve request parsers. Each throws
+// std::runtime_error naming the field; responses carry that message.
+
+/// The field's value, or nullptr when the object has no such field.
+[[nodiscard]] const JsonValue* find_field(const JsonObject& object,
+                                          const char* name);
+/// The string field's value; empty when absent.
+[[nodiscard]] std::string optional_string_field(const JsonObject& object,
+                                                const char* name);
+/// Field `name`'s number as a non-negative integer that a double names
+/// exactly (at most 2^53): JSON carries integers as doubles, and an
+/// imprecise one is a typo, not a request.
+[[nodiscard]] std::uint64_t require_integer(const char* name, double value);
+/// The `time_limit` budget in seconds, -1 when absent. Values above 1e8
+/// (~3 years) are rejected: indistinguishable from "no limit", and at the
+/// protocol level they would overflow a deadline's duration cast
+/// (core::Deadline::after also clamps -- defense in depth).
+[[nodiscard]] double optional_time_limit(const JsonObject& object);
 
 }  // namespace sectorpack::srv

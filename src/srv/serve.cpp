@@ -2,7 +2,6 @@
 #include "src/srv/serve.hpp"
 
 #include <chrono>
-#include <cmath>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -17,7 +16,6 @@
 #include "src/obs/metrics.hpp"
 #include "src/obs/slo.hpp"
 #include "src/obs/trace.hpp"
-#include "src/race/race.hpp"
 #include "src/srv/engine.hpp"
 #include "src/srv/jsonl.hpp"
 #include "src/srv/session.hpp"
@@ -25,28 +23,6 @@
 namespace sectorpack::srv {
 
 namespace {
-
-// Same protocol-level bounds as the batch engine (engine.cpp): doubles that
-// cannot name one integer exactly are typos, and budgets beyond ~3 years
-// are indistinguishable from "no limit" (Deadline::after additionally
-// clamps -- defense in depth).
-constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
-constexpr double kMaxTimeLimitSeconds = 1e8;
-
-const JsonValue* find_field(const JsonObject& object, const char* name) {
-  const auto it = object.find(name);
-  return it == object.end() ? nullptr : &it->second;
-}
-
-std::string optional_string_field(const JsonObject& object, const char* name) {
-  const JsonValue* v = find_field(object, name);
-  if (v == nullptr) return {};
-  if (v->kind != JsonValue::Kind::kString) {
-    throw std::runtime_error(std::string("field '") + name +
-                             "' must be a string");
-  }
-  return v->string;
-}
 
 double require_number_field(const JsonObject& object, const char* name) {
   const JsonValue* v = find_field(object, name);
@@ -58,15 +34,6 @@ double require_number_field(const JsonObject& object, const char* name) {
                              "' must be a number");
   }
   return v->number;
-}
-
-std::uint64_t require_integer(const char* name, double value) {
-  if (!(value >= 0.0) || value > kMaxExactInteger ||
-      std::floor(value) != value) {
-    throw std::runtime_error(std::string("field '") + name +
-                             "' must be a non-negative integer");
-  }
-  return static_cast<std::uint64_t>(value);
 }
 
 void check_fields(const JsonObject& object,
@@ -97,55 +64,16 @@ ServeOp parse_serve_op(const std::string& line, std::size_t index) {
   op.id = optional_string_field(object, "id");
   op.session = optional_string_field(object, "session");
 
-  if (const JsonValue* limit = find_field(object, "time_limit")) {
-    if (limit->kind != JsonValue::Kind::kNumber || !(limit->number >= 0.0) ||
-        std::isnan(limit->number)) {
-      throw std::runtime_error("field 'time_limit' must be a number >= 0");
-    }
-    if (limit->number > kMaxTimeLimitSeconds) {
-      throw std::runtime_error(
-          "field 'time_limit' out of range (max 1e8 seconds)");
-    }
-    op.time_limit = limit->number;
-  }
+  op.time_limit = optional_time_limit(object);
 
   if (op.op == "register") {
     check_fields(object, {"op", "id", "time_limit", "instance",
                           "instance_file", "solver", "seed", "iterations",
                           "portfolio"});
-    op.instance_file = optional_string_field(object, "instance_file");
-    op.instance_text = optional_string_field(object, "instance");
-    if (op.instance_file.empty() == op.instance_text.empty()) {
-      throw std::runtime_error(
-          "exactly one of 'instance_file' and 'instance' is required");
-    }
-    const std::string family = optional_string_field(object, "solver");
-    if (!family.empty()) op.solver.family = family;
-    if (!is_known_solver(op.solver.family)) {
-      throw std::runtime_error("unknown solver '" + op.solver.family + "'");
-    }
-    if (const JsonValue* seed = find_field(object, "seed")) {
-      if (seed->kind != JsonValue::Kind::kNumber) {
-        throw std::runtime_error("field 'seed' must be a number");
-      }
-      op.solver.seed = require_integer("seed", seed->number);
-    }
-    if (const JsonValue* iters = find_field(object, "iterations")) {
-      if (iters->kind != JsonValue::Kind::kNumber) {
-        throw std::runtime_error("field 'iterations' must be a number");
-      }
-      op.solver.iterations = require_integer("iterations", iters->number);
-    }
-    if (const JsonValue* portfolio = find_field(object, "portfolio")) {
-      if (portfolio->kind != JsonValue::Kind::kString) {
-        throw std::runtime_error("field 'portfolio' must be a string");
-      }
-      if (op.solver.family != "race") {
-        throw std::runtime_error("field 'portfolio' requires solver 'race'");
-      }
-      (void)race::parse_portfolio(portfolio->string);
-      op.solver.portfolio = portfolio->string;
-    }
+    Request req = parse_solve_fields(object);
+    op.instance_file = std::move(req.instance_file);
+    op.instance_text = std::move(req.instance_text);
+    op.solver = std::move(req.solver);
     return op;
   }
 

@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "src/core/deadline.hpp"
-#include "src/single/single.hpp"
+#include "src/sectors/sectors.hpp"
 #include "src/srv/engine.hpp"
 #include "src/verify/verify.hpp"
 
@@ -171,162 +171,78 @@ ResolveStats Session::resolve(const core::SolveOptions& opts) {
 ResolveStats Session::replay_greedy(const core::SolveOptions& opts) {
   ResolveStats stats;
   stats.incremental = true;
-  const std::size_t n = inst_.num_customers();
   const std::size_t k = inst_.num_antennas();
-
-  model::Solution sol = model::Solution::empty_for(inst_);
-  std::vector<bool> served(n, false);
-  std::vector<bool> used(k, false);
+  // The config run_solver dispatches "greedy" with.
+  sectors::GreedyConfig config;
+  config.solve = opts;
   const bool identical = inst_.antennas_identical();
 
   // Unserved-in-band fingerprint per antenna, rolled forward as rounds
   // commit; this is the memo key for an (antenna, round) evaluation.
   std::vector<std::uint64_t> unserved_fp = band_fp_;
 
-  struct Pick {
-    double value = 0.0;
-    std::size_t j = 0;
-    single::WindowChoice choice;
-  };
-
-  // Memo hit: replay the stored verdict, mapping sids back to current
-  // instance indices. A sid that no longer resolves, or resolves to a
-  // served customer, means the 64-bit key collided with a different member
-  // set -- drop the entry and report a miss so the sweep recomputes.
-  const auto try_memo = [&](std::size_t slot, std::uint64_t key,
-                            std::size_t j, Pick* out) {
+  const auto evaluate = [&](std::size_t j, const std::vector<bool>& served) {
+    const std::size_t slot = identical ? 0 : j;
     auto& memo = memo_[slot];
-    const auto it = memo.find(key);
-    if (it == memo.end()) return false;
-    const MemoPick& m = it->second;
-    Pick pick;
-    pick.j = j;
-    pick.value = m.value;
-    pick.choice.alpha = m.alpha;
-    pick.choice.value = m.value;
-    pick.choice.chosen.reserve(m.chosen_sids.size());
-    for (const std::size_t sid : m.chosen_sids) {
-      const std::size_t i = index_of_sid(sid);
-      if (i == kNoIndex || served[i]) {
-        memo.erase(it);
-        return false;
+    const std::uint64_t key = unserved_fp[j];
+    ++stats.evals;
+    // Memo hit: replay the stored verdict, mapping sids back to current
+    // instance indices. A sid that no longer resolves, or resolves to a
+    // served customer, means the 64-bit key collided with a different
+    // member set -- drop the entry and sweep instead.
+    if (const auto it = memo.find(key); it != memo.end()) {
+      single::WindowChoice pick;
+      pick.alpha = it->second.alpha;
+      pick.value = it->second.value;
+      pick.chosen.reserve(it->second.chosen_sids.size());
+      for (const std::size_t sid : it->second.chosen_sids) {
+        const std::size_t i = index_of_sid(sid);
+        if (i == kNoIndex || served[i]) break;
+        pick.chosen.push_back(i);
       }
-      pick.choice.chosen.push_back(i);
-    }
-    *out = std::move(pick);
-    return true;
-  };
-
-  // Fresh evaluation, mirroring sectors::solve_greedy's `evaluate` exactly
-  // (same filtered lists, same window sweep, serial) except that the stable
-  // ids handed to the sweep are session sids rather than instance indices
-  // -- ids only key the OracleCache and the id<->local remapping, never the
-  // output bytes, and sids survive index shifts across deltas.
-  const auto evaluate = [&](std::size_t j, std::size_t slot,
-                            std::uint64_t key) {
-    Pick pick;
-    pick.j = j;
-    std::vector<std::size_t> in_band;
-    inst_.in_range_customers(j, in_band);
-    std::vector<double> thetas;
-    std::vector<double> values;
-    std::vector<double> demands;
-    std::vector<std::size_t> index;
-    std::vector<std::size_t> ids;
-    for (const std::size_t i : in_band) {
-      if (!served[i]) {
-        thetas.push_back(inst_.theta(i));
-        values.push_back(inst_.value(i));
-        demands.push_back(inst_.demand(i));
-        index.push_back(i);
-        ids.push_back(sid_[i]);
+      if (pick.chosen.size() == it->second.chosen_sids.size()) {
+        ++stats.memo_hits;
+        return pick;
       }
+      memo.erase(it);
     }
-    pick.choice = single::best_window_weighted(
-        thetas, values, demands, inst_.antenna(j).rho,
-        inst_.antenna(j).capacity, oracle_, /*parallel=*/false, nullptr,
-        caches_[slot].get(), ids, opts.deadline);
-    pick.value = pick.choice.value;
+    // The sweep keys the OracleCache by sid rather than instance index:
+    // ids never reach the output bytes, and sids survive index shifts
+    // across deltas.
+    ++stats.fresh_evals;
+    single::WindowChoice pick = sectors::sweep_unserved(
+        inst_, j, served, config, caches_[slot].get(), sid_);
     // Never memoize a deadline-truncated sweep: its verdict depends on
     // where the clock ran out, not on the member set alone.
-    if (pick.choice.complete && memo_[slot].size() < kMemoMaxEntries) {
+    if (pick.complete && memo.size() < kMemoMaxEntries) {
       MemoPick m;
-      m.value = pick.choice.value;
-      m.alpha = pick.choice.alpha;
-      m.chosen_sids.reserve(pick.choice.chosen.size());
-      for (const std::size_t c : pick.choice.chosen) {
-        m.chosen_sids.push_back(ids[c]);
-      }
-      memo_[slot].emplace(key, std::move(m));
+      m.value = pick.value;
+      m.alpha = pick.alpha;
+      m.chosen_sids.reserve(pick.chosen.size());
+      for (const std::size_t i : pick.chosen) m.chosen_sids.push_back(sid_[i]);
+      memo.emplace(key, std::move(m));
     }
-    for (std::size_t& c : pick.choice.chosen) c = index[c];
     return pick;
   };
 
-  const auto round_eval = [&](std::size_t j, Pick* out) {
-    const std::size_t slot = identical ? 0 : j;
-    const std::uint64_t key = unserved_fp[j];
-    ++stats.evals;
-    if (try_memo(slot, key, j, out)) {
-      ++stats.memo_hits;
-      return;
+  // Roll the committed customers out of every antenna's unserved-band
+  // fingerprint (they can no longer appear in a later round's window).
+  const auto committed = [&](std::size_t, const single::WindowChoice& pick) {
+    for (std::size_t j = 0; j < k; ++j) {
+      for (const std::size_t i : pick.chosen) {
+        if (inst_.in_range(i, j)) unserved_fp[j] -= term_[i];
+      }
     }
-    ++stats.fresh_evals;
-    *out = evaluate(j, slot, key);
   };
 
-  // Round loop: byte-for-byte the control flow of sectors::solve_greedy
-  // (serial branch; the replay never window-parallelizes, matching
-  // GreedyConfig's defaults as dispatched by run_solver).
-  const core::Deadline& deadline = opts.deadline;
-  for (std::size_t round = 0; round < k; ++round) {
-    Pick best;
-    bool have_best = false;
-
-    if (identical) {
-      for (std::size_t j = 0; j < k; ++j) {
-        if (used[j]) continue;
-        round_eval(j, &best);
-        have_best = best.value > 0.0;
-        break;
-      }
-    } else {
-      for (std::size_t j = 0; j < k; ++j) {
-        if (used[j]) continue;
-        Pick pick;
-        round_eval(j, &pick);
-        if (pick.value > best.value) {
-          best = std::move(pick);
-          have_best = true;
-        }
-      }
-    }
-
-    if (have_best) {
-      used[best.j] = true;
-      sol.alpha[best.j] = best.choice.alpha;
-      for (const std::size_t i : best.choice.chosen) {
-        served[i] = true;
-        sol.assign[i] = static_cast<std::int32_t>(best.j);
-      }
-      // Roll the committed customers out of every antenna's unserved-band
-      // fingerprint (they can no longer appear in a later round's window).
-      for (std::size_t j = 0; j < k; ++j) {
-        for (const std::size_t i : best.choice.chosen) {
-          if (inst_.in_range(i, j)) unserved_fp[j] -= term_[i];
-        }
-      }
-    }
-    if (deadline.expired()) {
-      sol.status = model::SolveStatus::kBudgetExhausted;
-      core::note_expired("srv.session");
-      break;
-    }
-    if (!have_best) break;
+  model::Solution sol = sectors::greedy_rounds(inst_, config.solve.deadline,
+                                               evaluate, committed);
+  if (sol.status == model::SolveStatus::kBudgetExhausted) {
+    core::note_expired("srv.session");
   }
 
   // Runtime backstop against 64-bit fingerprint collisions: an aliased memo
-  // or cache hit that slipped past try_memo's liveness check would produce
+  // or cache hit that slipped past the liveness check above would produce
   // an infeasible assignment (double-serve, capacity breach). Verify is
   // O(n + k) -- noise next to a solve -- so every replay pays it; on
   // failure the session drops all derived state and answers from scratch.

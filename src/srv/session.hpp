@@ -22,12 +22,14 @@
 //   * per antenna, the session maintains the wrapping sum of terms over its
 //     radial band -- an order-independent fingerprint of the in-band set,
 //     updated in O(k) per delta;
-//   * replaying the greedy round loop, each (antenna, round) evaluation is
-//     keyed by the current unserved-in-band fingerprint. A memo hit
-//     replays the stored window verdict (value, alpha, chosen sids); only
-//     fingerprints the delta actually dirtied pay a real window sweep --
-//     and those sweeps run against the per-session knapsack::OracleCache,
-//     so even a dirty antenna mostly replays cached window packings.
+//   * the replay drives sectors::greedy_rounds, the round loop behind
+//     sectors::solve_greedy, with a memo-then-sweep hook: each (antenna,
+//     round) evaluation is keyed by the current unserved-in-band
+//     fingerprint. A memo hit replays the stored window verdict (value,
+//     alpha, chosen sids); only fingerprints the delta actually dirtied pay
+//     a real window sweep (sectors::sweep_unserved) -- and those sweeps run
+//     against the per-session knapsack::OracleCache, so even a dirty
+//     antenna mostly replays cached window packings.
 //
 // Equality of fingerprints implies (up to the same 64-bit collision
 // exposure the OracleCache already accepts, and backstopped by the
@@ -70,7 +72,6 @@ namespace sectorpack::srv {
 /// How a session answered one register/delta.
 struct ResolveStats {
   bool incremental = false;    // greedy replay (vs full run_solver dispatch)
-  std::size_t rounds = 0;      // greedy rounds replayed
   std::size_t evals = 0;       // (antenna, round) evaluations considered
   std::size_t memo_hits = 0;   // served from the window-fingerprint memo
   std::size_t fresh_evals = 0; // dirty: paid a real window sweep
@@ -114,6 +115,8 @@ class Session {
                            const core::SolveOptions& opts);
 
  private:
+  friend struct SessionTestPeer;  // tests/test_serve.cpp forges memo entries
+
   struct MemoPick {
     double value = 0.0;
     double alpha = 0.0;
@@ -139,8 +142,6 @@ class Session {
   SolverKey key_;
   model::Solution solution_;
   std::uint64_t deltas_ = 0;
-
-  knapsack::Oracle oracle_ = knapsack::Oracle::exact();  // GreedyConfig{}
 
   std::vector<std::size_t> sid_;    // instance index -> stable session id
   std::vector<std::uint64_t> term_; // instance index -> fingerprint term

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "src/sectorpack.hpp"
 
 using namespace sectorpack;
@@ -13,6 +15,8 @@ namespace ks = knapsack;
 
 namespace {
 
+// gtest names each case by dumping its parameter's bytes, so the bytes
+// after the bools are spelled out as zeros rather than left as padding.
 struct FuzzShape {
   std::size_t n;
   std::size_t k;
@@ -21,7 +25,10 @@ struct FuzzShape {
   bool integral_demands;
   bool weighted;
   bool annular;
+  std::array<char, 5> zeros{};
 };
+static_assert(sizeof(FuzzShape) == 4 * sizeof(double) + 8,
+              "FuzzShape must have no padding bytes");
 
 model::Instance make_fuzz_instance(const FuzzShape& shape,
                                    std::uint64_t seed) {

@@ -66,25 +66,19 @@ TEST_F(ObsTest, DisabledWritesAreDropped) {
   obs::Registry reg;
   const obs::Counter c = reg.counter("test.noop");
   const obs::Gauge g = reg.gauge("test.noop_gauge");
-  const obs::Histogram h = reg.histogram("test.noop_hist");
   obs::set_enabled(false);
   c.add(100);
   g.set(3.5);
-  h.observe(1.0);
   const obs::Snapshot snap = reg.snapshot();
   EXPECT_EQ(snap.counter("test.noop"), 0u);
   EXPECT_TRUE(snap.gauges.empty());  // unset gauges are omitted
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  EXPECT_EQ(snap.histograms[0].count, 0u);
 }
 
 TEST_F(ObsTest, DefaultConstructedHandlesAreSafe) {
   const obs::Counter c;
   const obs::Gauge g;
-  const obs::Histogram h;
   c.inc();
-  g.set(1.0);
-  h.observe(1.0);  // must not crash
+  g.set(1.0);  // must not crash
 }
 
 TEST_F(ObsTest, GaugeLastWriteWins) {
@@ -98,50 +92,9 @@ TEST_F(ObsTest, GaugeLastWriteWins) {
   EXPECT_DOUBLE_EQ(snap.gauges[0].second, -2.5);
 }
 
-TEST_F(ObsTest, HistogramStatsAndBuckets) {
-  obs::Registry reg;
-  const obs::Histogram h = reg.histogram("test.hist");
-  for (double v : {0.5, 1.0, 3.0, 100.0}) h.observe(v);
-  const obs::Snapshot snap = reg.snapshot();
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  const obs::HistogramSnapshot& hs = snap.histograms[0];
-  EXPECT_EQ(hs.count, 4u);
-  EXPECT_DOUBLE_EQ(hs.sum, 104.5);
-  EXPECT_DOUBLE_EQ(hs.min, 0.5);
-  EXPECT_DOUBLE_EQ(hs.max, 100.0);
-  EXPECT_DOUBLE_EQ(hs.mean(), 104.5 / 4.0);
-  // 0.5 -> bucket 0 ([0,1)), 1.0 -> bucket 1 ([1,2)), 3.0 -> bucket 2
-  // ([2,4)), 100.0 -> bucket 7 ([64,128)).
-  EXPECT_EQ(hs.buckets[0], 1u);
-  EXPECT_EQ(hs.buckets[1], 1u);
-  EXPECT_EQ(hs.buckets[2], 1u);
-  EXPECT_EQ(hs.buckets[7], 1u);
-  // Quantiles stay within the observed range and are monotone.
-  const double p25 = hs.quantile(0.25);
-  const double p95 = hs.quantile(0.95);
-  EXPECT_GE(p25, hs.min);
-  EXPECT_LE(p95, hs.max);
-  EXPECT_LE(p25, p95);
-  EXPECT_DOUBLE_EQ(hs.quantile(0.0), hs.min);
-  EXPECT_DOUBLE_EQ(hs.quantile(1.0), hs.max);
-}
-
-TEST_F(ObsTest, HistogramBucketIndexEdges) {
-  EXPECT_EQ(obs::histogram_bucket_index(-1.0), 0u);
-  EXPECT_EQ(obs::histogram_bucket_index(0.0), 0u);
-  EXPECT_EQ(obs::histogram_bucket_index(0.999), 0u);
-  EXPECT_EQ(obs::histogram_bucket_index(1.0), 1u);
-  EXPECT_EQ(obs::histogram_bucket_index(2.0), 2u);
-  EXPECT_EQ(obs::histogram_bucket_index(1e30), obs::kHistogramBuckets - 1);
-  EXPECT_EQ(obs::histogram_bucket_lower(0), 0.0);
-  EXPECT_EQ(obs::histogram_bucket_lower(1), 1.0);
-  EXPECT_EQ(obs::histogram_bucket_lower(4), 8.0);
-}
-
 TEST_F(ObsTest, ConcurrentCountersFromParallelFor) {
   obs::Registry reg;
   const obs::Counter c = reg.counter("test.parallel");
-  const obs::Histogram h = reg.histogram("test.parallel_hist");
   par::ThreadPool pool(4);
   const std::size_t n = 100000;
   par::parallel_for(
@@ -149,29 +102,21 @@ TEST_F(ObsTest, ConcurrentCountersFromParallelFor) {
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           c.inc();
-          h.observe(static_cast<double>(i % 16));
         }
       },
       &pool);
   const obs::Snapshot snap = reg.snapshot();
   EXPECT_EQ(snap.counter("test.parallel"), n);
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  EXPECT_EQ(snap.histograms[0].count, n);
-  EXPECT_DOUBLE_EQ(snap.histograms[0].min, 0.0);
-  EXPECT_DOUBLE_EQ(snap.histograms[0].max, 15.0);
 }
 
 TEST_F(ObsTest, ResetZeroesValuesKeepsNames) {
   obs::Registry reg;
   reg.counter("test.reset").add(7);
   reg.gauge("test.reset_gauge").set(1.0);
-  reg.histogram("test.reset_hist").observe(2.0);
   reg.reset();
   const obs::Snapshot snap = reg.snapshot();
   EXPECT_EQ(snap.counter("test.reset"), 0u);
   EXPECT_TRUE(snap.gauges.empty());
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  EXPECT_EQ(snap.histograms[0].count, 0u);
   // Still registered: writing again works against the same slot.
   reg.counter("test.reset").inc();
   EXPECT_EQ(reg.snapshot().counter("test.reset"), 1u);
@@ -190,7 +135,7 @@ TEST_F(ObsTest, SnapshotJsonIsWellFormed) {
   obs::Registry reg;
   reg.counter("a.count").add(3);
   reg.gauge("b.gauge").set(2.25);
-  reg.histogram("c.hist\"quoted").observe(5.0);
+  reg.hdr_histogram("c.hist\"quoted").observe(5.0);
   const JsonValue root = JsonParser(reg.snapshot().to_json()).parse();
   const JsonObject& obj = root.object();
   EXPECT_DOUBLE_EQ(obj.at("counters").object().at("a.count").number(), 3.0);
@@ -206,11 +151,9 @@ TEST_F(ObsTest, SnapshotTextListsEveryMetric) {
   obs::Registry reg;
   reg.counter("t.count").add(3);
   reg.gauge("t.gauge").set(1.5);
-  reg.histogram("t.hist").observe(4.0);
   const std::string text = reg.snapshot().to_text();
   EXPECT_NE(text.find("t.count 3"), std::string::npos);
   EXPECT_NE(text.find("t.gauge 1.5"), std::string::npos);
-  EXPECT_NE(text.find("t.hist count=1"), std::string::npos);
 }
 
 TEST_F(ObsTest, TraceJsonWellFormedAndLoadable) {
@@ -405,12 +348,6 @@ TEST_F(ObsTest, HdrRegistrationConflictsThrow) {
   (void)reg.hdr_histogram("test.conflict", 7);  // same precision: fine
   EXPECT_THROW((void)reg.hdr_histogram("test.conflict", 3),
                std::invalid_argument);
-  // One name means one distribution: a fixed-bucket histogram name cannot
-  // be reused as HDR and vice versa.
-  (void)reg.histogram("test.fixed");
-  EXPECT_THROW((void)reg.hdr_histogram("test.fixed"), std::invalid_argument);
-  (void)reg.hdr_histogram("test.hdr_only");
-  EXPECT_THROW((void)reg.histogram("test.hdr_only"), std::invalid_argument);
 }
 
 TEST_F(ObsTest, HdrDisabledAndDefaultHandlesAreSafe) {

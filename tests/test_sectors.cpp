@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "src/model/validate.hpp"
 #include "src/sim/adversarial.hpp"
 #include "src/sim/generators.hpp"
@@ -179,12 +181,17 @@ TEST(SectorsUniform, OrientationsEvenlySpaced) {
   EXPECT_TRUE(model::is_feasible(inst, sol));
 }
 
-// Parameterized feasibility fuzz across (n, k) shapes and oracles.
+// Parameterized feasibility fuzz across (n, k) shapes and oracles. gtest
+// names each case by dumping its bytes, so the bytes after the bool are
+// spelled out as zeros rather than left as padding.
 struct ShapeCase {
   std::size_t n;
   std::size_t k;
   bool heterogeneous;
+  std::array<char, 7> zeros{};
 };
+static_assert(sizeof(ShapeCase) == 3 * sizeof(std::size_t),
+              "ShapeCase must have no padding bytes");
 
 class SectorsShapeProperty : public ::testing::TestWithParam<ShapeCase> {};
 

@@ -168,6 +168,106 @@ TEST(Session, RevertedDeltaHitsTheWindowMemo) {
   EXPECT_EQ(stats.dirty_ratio, 0.0);
 }
 
+}  // namespace
+
+namespace sectorpack::srv {
+
+/// Test-only access to a session's window memo (a friend of Session). The
+/// entry it forges is the first one a replay reads: antenna j's round-0
+/// verdict, keyed by its whole in-band fingerprint.
+struct SessionTestPeer {
+  /// Overwrites that entry; false when there was none to overwrite.
+  static bool forge_round0(Session& session, std::size_t j, double value,
+                           std::vector<std::size_t> sids) {
+    const std::size_t slot = session.inst_.antennas_identical() ? 0 : j;
+    const auto it = session.memo_[slot].find(session.band_fp_[j]);
+    if (it == session.memo_[slot].end()) return false;
+    it->second.value = value;
+    it->second.chosen_sids = std::move(sids);
+    return true;
+  }
+  static std::size_t sid(const Session& session, std::size_t i) {
+    return session.sid_[i];
+  }
+  static std::size_t next_sid(const Session& session) {
+    return session.next_sid_;
+  }
+};
+
+}  // namespace sectorpack::srv
+
+namespace {
+
+/// Beyond every annular_instance band (the outermost ends at radius 90):
+/// adding it changes no band fingerprint, so every replay key repeats.
+model::Customer out_of_range_customer() {
+  model::Customer c;
+  c.pos = {150.0, 0.0};
+  c.demand = 1.0;
+  return c;
+}
+
+/// Collision backstop 1: a memo entry naming a retired or never-issued sid
+/// is dropped and swept afresh, and the answer stays byte-identical.
+TEST(Session, MemoEntryWithDeadSidIsSweptAfresh) {
+  for (const bool retired : {true, false}) {
+    SCOPED_TRACE(retired ? "retired sid" : "never-issued sid");
+    const srv::SolverKey key{"greedy", 1, 0, ""};
+    srv::Session control(annular_instance(50, 9), key);
+    srv::Session forged(annular_instance(50, 9), key);
+    control.solve_initial({});
+    forged.solve_initial({});
+
+    std::size_t dead = srv::SessionTestPeer::next_sid(forged) + 1000;
+    if (retired) {
+      forged.customer_add(out_of_range_customer(), {});
+      const std::size_t last = forged.instance().num_customers() - 1;
+      dead = srv::SessionTestPeer::sid(forged, last);
+      forged.customer_remove(last, {});
+    }
+    ASSERT_TRUE(srv::SessionTestPeer::forge_round0(forged, 0, 1.0, {dead}));
+
+    const srv::ResolveStats want =
+        control.customer_add(out_of_range_customer(), {});
+    const srv::ResolveStats got =
+        forged.customer_add(out_of_range_customer(), {});
+    EXPECT_EQ(want.fresh_evals, 0u);  // the delta dirtied no key
+    EXPECT_TRUE(got.incremental);
+    EXPECT_EQ(got.evals, want.evals);
+    EXPECT_EQ(got.fresh_evals, 1u);
+    EXPECT_EQ(got.memo_hits, want.memo_hits - 1);
+    expect_identical(forged, "a memo entry naming a dead sid");
+  }
+}
+
+/// Collision backstop 2: a forged verdict over live, unserved sids that
+/// overfills the antenna wins its round, so the replay's assignment is
+/// infeasible; verify catches it and the session answers from scratch.
+TEST(Session, InfeasibleMemoVerdictFallsBackToFullSolve) {
+  srv::Session session(annular_instance(120, 9),
+                       srv::SolverKey{"greedy", 1, 0, ""});
+  session.solve_initial({});
+  const model::Instance& inst = session.instance();
+  std::vector<std::size_t> band;
+  double demand = 0.0;
+  for (std::size_t i = 0; i < inst.num_customers(); ++i) {
+    if (!inst.in_range(i, 0)) continue;
+    band.push_back(srv::SessionTestPeer::sid(session, i));
+    demand += inst.demand(i);
+  }
+  ASSERT_GT(demand, inst.antenna(0).capacity);
+  ASSERT_TRUE(srv::SessionTestPeer::forge_round0(session, 0, 1e9, band));
+
+  const srv::ResolveStats stats =
+      session.customer_add(out_of_range_customer(), {});
+  EXPECT_FALSE(stats.incremental);
+  expect_identical(session, "an infeasible memo verdict");
+
+  // The fallback dropped the memos; the next delta replays again.
+  EXPECT_TRUE(session.customer_add(out_of_range_customer(), {}).incremental);
+  expect_identical(session, "the delta after the fallback");
+}
+
 /// Validation failures must leave instance and solution untouched.
 TEST(Session, InvalidDeltaLeavesSessionOnPreviousState) {
   srv::Session session(identical_instance(20, 4), srv::SolverKey{"greedy", 1, 0, ""});
@@ -534,6 +634,68 @@ TEST(ServeOpParse, StrictFieldChecks) {
       "\"demand\":1}",
       0);
   EXPECT_DOUBLE_EQ(add.customer_rec.value, model::Customer::kValueIsDemand);
+}
+
+/// The message `parse` throws; empty when it parses.
+template <typename Parse>
+std::string parse_error(const Parse& parse) {
+  try {
+    (void)parse();
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  return {};
+}
+
+/// A batch request and a serve `register` op share one solve-field parser:
+/// the same bad field gets the same message, byte for byte, from both.
+TEST(ServeOpParse, SolveFieldErrorsMatchBatchRequests) {
+  const struct {
+    const char* fields;
+    const char* error;
+  } cases[] = {
+      {R"("solver":"greedy")",
+       "exactly one of 'instance_file' and 'instance' is required"},
+      {R"("instance":"x","instance_file":"y")",
+       "exactly one of 'instance_file' and 'instance' is required"},
+      {R"("instance":7)", "field 'instance' must be a string"},
+      {R"("instance_file":null)", "field 'instance_file' must be a string"},
+      {R"("instance":"x","solver":"qaoa")", "unknown solver 'qaoa'"},
+      {R"("instance":"x","solver":3)", "field 'solver' must be a string"},
+      {R"("instance":"x","seed":"1")", "field 'seed' must be a number"},
+      {R"("instance":"x","seed":1.5)",
+       "field 'seed' must be a non-negative integer"},
+      {R"("instance":"x","seed":-1)",
+       "field 'seed' must be a non-negative integer"},
+      {R"("instance":"x","iterations":true)",
+       "field 'iterations' must be a number"},
+      {R"("instance":"x","iterations":1e300)",
+       "field 'iterations' must be a non-negative integer"},
+      {R"("instance":"x","solver":"race","portfolio":5)",
+       "field 'portfolio' must be a string"},
+      {R"("instance":"x","portfolio":"greedy")",
+       "field 'portfolio' requires solver 'race'"},
+      {R"("instance":"x","solver":"race","portfolio":"greedy,race")",
+       "portfolio: 'race' cannot race itself"},
+      {R"("instance":"x","time_limit":-2)",
+       "field 'time_limit' must be a number >= 0"},
+      {R"("instance":"x","time_limit":"soon")",
+       "field 'time_limit' must be a number >= 0"},
+      {R"("instance":"x","time_limit":1e9)",
+       "field 'time_limit' out of range (max 1e8 seconds)"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.fields);
+    const std::string batch = parse_error([&] {
+      return srv::parse_request(std::string("{") + c.fields + "}", 0);
+    });
+    const std::string serve = parse_error([&] {
+      return srv::parse_serve_op(
+          std::string(R"({"op":"register",)") + c.fields + "}", 0);
+    });
+    EXPECT_EQ(batch, c.error);
+    EXPECT_EQ(serve, batch);
+  }
 }
 
 }  // namespace

@@ -86,7 +86,6 @@ TEST(Shard, SingleShardMatchesPlainGreedy) {
 
   sectorpack::sectors::GreedyConfig gc;
   gc.oracle = config.oracle;
-  gc.parallel = false;
   const model::Solution plain = sectorpack::sectors::solve_greedy(inst, gc);
   EXPECT_EQ(sharded.alpha, plain.alpha);
   EXPECT_EQ(sharded.assign, plain.assign);
