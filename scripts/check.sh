@@ -39,9 +39,10 @@
 #              files and summary lines, `sectorpack bound` must order
 #              trivial >= orientation-free >= flow-window >= the greedy
 #              served value, and the shard solver's output must pass the
-#              named-invariant verifier. No --time-limit anywhere: deadline
-#              stops are wall-clock nondeterministic and would break the
-#              byte comparison.
+#              named-invariant verifier and be byte-identical across two
+#              solves. No --time-limit anywhere: deadline stops are
+#              wall-clock nondeterministic and would break the byte
+#              comparisons.
 #   race       the portfolio-racing contract (docs/performance.md): a
 #              sanitized `solve --solver race` run must produce a verified,
 #              byte-identical-across-repeats solution with a
@@ -643,9 +644,19 @@ run_huge() {
 
   # Shard solve: feasible, verifiable output at scale (the merge/repair
   # path is seam-dependent, so no byte comparison against plain greedy).
+  # Shard is the one CLI path that runs parallel_for on the global pool;
+  # with no time limit it is deterministic, so a second solve must
+  # reproduce the first byte for byte.
   expect_rc 0 "$CLI" solve --in "$TMP/huge.inst" --solver shard \
     -o "$TMP/shard.sol"
   expect_rc 0 "$CLI" verify --in "$TMP/huge.inst" --solution "$TMP/shard.sol"
+  expect_rc 0 "$CLI" solve --in "$TMP/huge.inst" --solver shard \
+    -o "$TMP/shard2.sol"
+  if ! cmp -s "$TMP/shard.sol" "$TMP/shard2.sol"; then
+    echo "FAIL: two shard solves of the huge instance differ" >&2
+    diff "$TMP/shard.sol" "$TMP/shard2.sol" | head -20 >&2
+    exit 1
+  fi
 
   echo "[gate] huge: PASS (ASan+UBSan, build dir: $build_dir)"
 }

@@ -4,7 +4,7 @@
 // A Deadline is a soft wall-clock budget plus an atomic cancel flag. Solvers
 // poll it at coarse, bounded-cost granularity -- per greedy round, per
 // annealing iteration, per local-search move, per Dinic phase, per
-// branch-and-bound node block, per window-sweep chunk -- so a solver returns
+// branch-and-bound node block, per 64-window block -- so a solver returns
 // within (budget + one check interval), never mid-update. On expiry a solver
 // does not throw: it stops, finalizes its current incumbent (always a
 // feasible solution) and reports model::SolveStatus::kBudgetExhausted.

@@ -84,8 +84,7 @@ struct IncrementalStats {
 
 /// Membership-incremental evaluation of one (capacity, oracle) pair over a
 /// fixed universe of items. Construction sorts the universe once by the
-/// greedy density order; copies are cheap-ish (O(n)) and share no mutable
-/// state, so parallel sweep chunks clone a prototype instead of re-sorting.
+/// greedy density order.
 class IncrementalOracle {
  public:
   /// `ids`, when non-empty, gives a strictly ascending stable id per

@@ -1,7 +1,9 @@
 #include "src/par/parallel_for.hpp"
 
 #include <algorithm>
+#include <exception>
 
+#include "src/core/sync.hpp"
 #include "src/obs/metrics.hpp"
 
 namespace sectorpack::par {
@@ -54,9 +56,10 @@ void parallel_for(std::size_t n, std::size_t grain, const RangeBody& body,
         if (!first_error) first_error = std::current_exception();
       }
       {
-        // Notify under the lock; see the matching comment in
-        // parallel_reduce (parallel_for.hpp) -- the waiter's stack frame
-        // owns cv, so a post-unlock signal races its destruction.
+        // Notify while holding the lock: the waiter's stack frame owns cv
+        // and destroys it the moment its predicate holds and it reacquires
+        // mu, so signalling after the unlock races that destruction (TSan:
+        // pthread_cond_destroy vs pthread_cond_signal).
         core::LockGuard lock(mu);
         ++done;
         cv.notify_one();

@@ -1,21 +1,15 @@
 #pragma once
-// Blocking data-parallel loops over index ranges, built on ThreadPool.
+// A blocking data-parallel loop over an index range, built on ThreadPool.
 //
 // parallel_for(n, grain, body): invokes body(begin, end) over a partition of
 // [0, n) into chunks of at least `grain` indices. Falls back to one inline
 // call when the pool has a single worker or the range is below the grain.
 // Exceptions thrown by bodies are captured and the first one is rethrown on
 // the calling thread after all chunks finish.
-//
-// parallel_reduce: maps chunks to partial values and combines them in
-// ascending chunk order, so floating-point reductions are deterministic and
-// independent of thread scheduling.
 
-#include <exception>
+#include <cstddef>
 #include <functional>
-#include <vector>
 
-#include "src/core/sync.hpp"
 #include "src/par/thread_pool.hpp"
 
 namespace sectorpack::par {
@@ -27,7 +21,7 @@ using RangeBody = std::function<void(std::size_t begin, std::size_t end)>;
 void parallel_for(std::size_t n, std::size_t grain, const RangeBody& body,
                   ThreadPool* pool = nullptr);
 
-/// Chunk layout used by parallel_for / parallel_reduce: chunk c covers
+/// Chunk layout used by parallel_for: chunk c covers
 /// [c * size, min((c+1) * size, n)).
 struct ChunkPlan {
   std::size_t chunk_size = 0;
@@ -35,57 +29,5 @@ struct ChunkPlan {
 };
 [[nodiscard]] ChunkPlan plan_chunks(std::size_t n, std::size_t grain,
                                     unsigned workers);
-
-template <typename T, typename MapFn, typename CombineFn>
-[[nodiscard]] T parallel_reduce(std::size_t n, std::size_t grain, T init,
-                                MapFn map_chunk, CombineFn combine,
-                                ThreadPool* pool = nullptr) {
-  if (pool == nullptr) pool = &ThreadPool::global();
-  const ChunkPlan plan = plan_chunks(n, grain, pool->size());
-  if (plan.num_chunks <= 1) {
-    if (n == 0) return init;
-    return combine(std::move(init), map_chunk(std::size_t{0}, n));
-  }
-
-  std::vector<T> partial(plan.num_chunks);
-  // sp-lint: allow(unannotated-guard) block-local mutex: attributes cannot attach to locals; the per-field comments below name it
-  core::Mutex mu;
-  core::CondVar cv;
-  std::size_t done = 0;           // guarded by mu
-  std::exception_ptr first_error;  // guarded by mu
-
-  for (std::size_t c = 0; c < plan.num_chunks; ++c) {
-    pool->submit([&, c] {
-      const std::size_t begin = c * plan.chunk_size;
-      const std::size_t end = std::min(begin + plan.chunk_size, n);
-      try {
-        partial[c] = map_chunk(begin, end);
-      } catch (...) {
-        core::LockGuard lock(mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-      {
-        // Notify while holding the lock: the waiter destroys cv the moment
-        // its predicate holds and it reacquires mu, so signalling after the
-        // unlock races that destruction (TSan: pthread_cond_destroy vs
-        // pthread_cond_signal).
-        core::LockGuard lock(mu);
-        ++done;
-        cv.notify_one();
-      }
-    });
-  }
-
-  core::UniqueLock lock(mu);
-  cv.wait(lock, [&] {
-    mu.assert_held();  // CondVar::wait re-acquires mu around us
-    return done == plan.num_chunks;
-  });
-  if (first_error) std::rethrow_exception(first_error);
-
-  T acc = std::move(init);
-  for (T& p : partial) acc = combine(std::move(acc), std::move(p));
-  return acc;
-}
 
 }  // namespace sectorpack::par

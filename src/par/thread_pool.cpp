@@ -1,41 +1,25 @@
 #include "src/par/thread_pool.hpp"
 
-#include <cstdio>
 #include <utility>
 
-#include "src/core/contract.hpp"
 #include "src/obs/metrics.hpp"
 
 namespace sectorpack::par {
 
-namespace {
-std::atomic<unsigned> g_global_threads{0};
-std::atomic<bool> g_global_created{false};
-}  // namespace
-
-ThreadPool::ThreadPool(unsigned threads)
-    : steals_(obs::counter("par.steals")) {
+ThreadPool::ThreadPool(unsigned threads) {
   if (threads == 0) {
     threads = std::thread::hardware_concurrency();
     if (threads == 0) threads = 1;
   }
-  // Last-write-wins across pools (the batch engine creates dedicated
-  // pools), so the gauge reports the size of the most recently created
-  // pool; handle resolved eagerly here like steals_, off the hot paths.
-  obs::gauge("par.pool.size").set(static_cast<double>(threads));
-  queues_.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
-  }
   workers_.reserve(threads);
   for (unsigned t = 0; t < threads; ++t) {
-    workers_.emplace_back([this, t] { worker_loop(t); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    core::LockGuard lock(sleep_mu_);
+    core::LockGuard lock(mu_);
     stopping_ = true;
   }
   cv_.notify_all();
@@ -43,116 +27,40 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::submit(std::function<void()> task) {
-  // sp-sync: relaxed round-robin cursor; any interleaving of increments is
-  // an acceptable queue choice, and the queue mutex orders the task itself.
-  const unsigned q = next_queue_.fetch_add(1, std::memory_order_relaxed) %
-                     static_cast<unsigned>(queues_.size());
   {
-    core::LockGuard lock(queues_[q]->mu);
-    queues_[q]->tasks.push_back(std::move(task));
-  }
-  {
-    // Publishing the count under sleep_mu_ closes the race with a worker
-    // that found every queue empty and is about to wait: the wait predicate
-    // re-reads pending_ under this same mutex.
-    // sp-sync: relaxed suffices because sleep_mu_ provides the ordering.
-    core::LockGuard lock(sleep_mu_);
-    pending_.fetch_add(1, std::memory_order_relaxed);
+    core::LockGuard lock(mu_);
+    tasks_.push_back(std::move(task));
   }
   cv_.notify_one();
 }
 
-bool ThreadPool::try_take(unsigned self, std::function<void()>& task) {
-  const std::size_t nq = queues_.size();
-  // Own queue first, front end (FIFO for the owner)...
-  {
-    WorkerQueue& q = *queues_[self];
-    core::LockGuard lock(q.mu);
-    if (!q.tasks.empty()) {
-      task = std::move(q.tasks.front());
-      q.tasks.pop_front();
-      // sp-sync: relaxed decrement; q.mu ordered the task hand-off, and a
-      // momentarily stale pending_ only costs a sleeping worker one
-      // spurious wake (the predicate re-checks under sleep_mu_).
-      pending_.fetch_sub(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  // ...then steal from the back of the others, scanning from the next
-  // neighbour so thieves spread out instead of all hitting queue 0.
-  for (std::size_t step = 1; step < nq; ++step) {
-    WorkerQueue& q = *queues_[(self + step) % nq];
-    core::LockGuard lock(q.mu);
-    if (!q.tasks.empty()) {
-      task = std::move(q.tasks.back());
-      q.tasks.pop_back();
-      // sp-sync: relaxed decrement; same reasoning as the own-queue pop.
-      pending_.fetch_sub(1, std::memory_order_relaxed);
-      steals_.inc();
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::worker_loop(unsigned self) {
-  std::function<void()> task;
+void ThreadPool::worker_loop() {
   for (;;) {
-    if (try_take(self, task)) {
-      task();
-      task = nullptr;  // release captures before sleeping
-      continue;
+    std::function<void()> task;
+    {
+      core::UniqueLock lock(mu_);
+      cv_.wait(lock, [this] {
+        mu_.assert_held();  // CondVar::wait re-acquires mu_ around us
+        return stopping_ || !tasks_.empty();
+      });
+      // Drain before exiting: a task queued after stopping_ was set (by a
+      // task still running on some worker) must run too. That worker keeps
+      // looping, so it takes the task even if every other worker is gone.
+      if (tasks_.empty()) return;
+      task = std::move(tasks_.front());
+      tasks_.pop_front();
     }
-    core::UniqueLock lock(sleep_mu_);
-    if (stopping_) {
-      // Drain before exiting: pending_ > 0 means some queue still holds a
-      // task (possibly submitted after stopping_ was set).
-      // sp-sync: relaxed read is exact here -- increments happen under
-      // sleep_mu_, which this thread holds.
-      if (pending_.load(std::memory_order_relaxed) == 0) return;
-      continue;
-    }
-    cv_.wait(lock, [this] {
-      sleep_mu_.assert_held();  // CondVar::wait re-acquires sleep_mu_
-      // sp-sync: relaxed read under sleep_mu_ (see submit()).
-      return stopping_ || pending_.load(std::memory_order_relaxed) > 0;
-    });
+    task();
   }
 }
 
 ThreadPool& ThreadPool::global() {
-  // sp-sync: relaxed flag/config pair; the static-local initialization of
-  // `pool` is the real synchronization point (C++ guarantees it), and the
-  // flag only feeds the best-effort late-call warning below.
-  g_global_created.store(true, std::memory_order_relaxed);
-  static ThreadPool pool(g_global_threads.load(std::memory_order_relaxed));
+  static ThreadPool pool;
+  // One store per call, not one at creation: obs may be enabled or reset
+  // after the pool exists, and the gauge must still report it.
+  static const obs::Gauge g_size = obs::gauge("par.pool.size");
+  g_size.set(static_cast<double>(pool.size()));
   return pool;
-}
-
-bool ThreadPool::set_global_threads(unsigned threads) {
-  // sp-sync: relaxed is fine for a best-effort misuse detector; a missed
-  // late call only suppresses the warning, never corrupts state.
-  if (g_global_created.load(std::memory_order_relaxed)) {
-    static const obs::Counter c_late = obs::counter("par.set_threads.late");
-    c_late.inc();
-    static std::atomic<bool> warned{false};
-    // sp-sync: relaxed exchange; only dedupes the stderr warning.
-    if (!warned.exchange(true, std::memory_order_relaxed)) {
-      std::fprintf(stderr,
-                   "sectorpack: ThreadPool::set_global_threads(%u) called "
-                   "after the global pool was created; call it before any "
-                   "parallel work (ignored)\n",
-                   threads);
-    }
-    SP_ASSERT(false,
-              "ThreadPool::set_global_threads called after global pool "
-              "creation");
-    return false;
-  }
-  // sp-sync: relaxed store; read once inside global()'s static-local
-  // initializer, which already synchronizes.
-  g_global_threads.store(threads, std::memory_order_relaxed);
-  return true;
 }
 
 }  // namespace sectorpack::par

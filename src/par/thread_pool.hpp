@@ -1,33 +1,22 @@
 #pragma once
-// A small fixed-size worker pool with per-worker deques and work stealing.
+// A small fixed-size worker pool over one locked FIFO queue.
 // Parallelism in this library is optional and structural: every parallel
 // entry point has an identical-result serial path (used when the pool has
-// <= 1 worker), and reductions combine partial results in deterministic
-// chunk order, so solver output never depends on thread count or
+// <= 1 worker), so solver output never depends on thread count or
 // scheduling.
 //
-// Queue design. Each worker owns a deque guarded by its own mutex; external
-// submitters distribute tasks round-robin, a worker pops from the front of
-// its own deque and steals from the back of others when it runs dry. This
-// keeps submitters off a single shared lock (the old pool serialized every
-// push and pop through one mutex) while preserving rough FIFO order within
-// a queue. A lock-free Chase-Lev deque was considered and rejected: its
-// correctness depends on one dedicated owner performing all bottom-end
-// pushes, but every task here is pushed by whatever caller thread invoked
-// parallel_for, so the single-owner precondition does not hold. The
-// per-queue mutex is uncontended in the common case (owner and at most one
-// thief), which is cheap enough at this library's chunk granularity.
+// Queue design. One deque under one mutex, with one condition variable for
+// the sleep/wake protocol. Every task the library submits is coarse -- a
+// batch-engine pump per --jobs worker, a race lane, a shard chunk -- so a
+// call submits a handful of tasks that each run for milliseconds or more,
+// and the shared lock is rarely contended.
 
-#include <atomic>
-#include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <vector>
 
 #include "src/core/sync.hpp"
-#include "src/obs/metrics.hpp"
 
 namespace sectorpack::par {
 
@@ -51,41 +40,16 @@ class ThreadPool {
   }
 
   /// Process-wide pool, created on first use with hardware_concurrency
-  /// workers (overridable once via set_global_threads before first use).
+  /// workers. Every call sets the `par.pool.size` gauge to its size.
   static ThreadPool& global();
 
-  /// Configure the global pool's worker count. Must be called before the
-  /// first global() call. A late call is a configuration bug: it returns
-  /// false, warns once on stderr, bumps the "par.set_threads.late" counter,
-  /// and asserts in debug builds.
-  static bool set_global_threads(unsigned threads);
-
  private:
-  // One worker's deque. Heap-allocated so the vector of queues never moves
-  // a mutex, and padded out to its own cache line(s) by allocation.
-  struct WorkerQueue {
-    core::Mutex mu;
-    std::deque<std::function<void()>> tasks SP_GUARDED_BY(mu);
-  };
+  void worker_loop();
 
-  void worker_loop(unsigned self);
-  bool try_take(unsigned self, std::function<void()>& task);
-
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  // Queued-but-not-yet-popped tasks. Incremented under sleep_mu_ so a
-  // worker re-checking its sleep predicate cannot miss a submission;
-  // decremented (relaxed) at pop time -- the queue mutex orders the task
-  // data itself.
-  std::atomic<std::size_t> pending_{0};
-  std::atomic<unsigned> next_queue_{0};  // round-robin submit cursor
-  core::Mutex sleep_mu_;
+  core::Mutex mu_;
   core::CondVar cv_;
-  bool stopping_ SP_GUARDED_BY(sleep_mu_) = false;
-  // Resolved eagerly in the constructor: workers must never do a lazy
-  // registry lookup -- on first wake they may run arbitrarily late (even
-  // during process exit, after the registry's static is gone), while the
-  // handle itself shares ownership of the counter state and stays valid.
-  obs::Counter steals_;
+  std::deque<std::function<void()>> tasks_ SP_GUARDED_BY(mu_);
+  bool stopping_ SP_GUARDED_BY(mu_) = false;
   std::vector<std::thread> workers_;
 };
 

@@ -162,14 +162,11 @@ model::Solution solve(const model::Instance& inst, const RaceConfig& config,
   key.seed = config.seed;
   key.iterations = config.iterations;
 
-  // The race hub: every lane's deadline hangs under it, so one cancel()
-  // here -- cancel-on-winner, or an external cancel of `cap` propagating
-  // through the deadline tree -- stops the whole field.
+  // The race deadline: every lane runs under it, so one cancel() here --
+  // cancel-on-winner, or an external cancel of `cap` propagating through
+  // the deadline tree -- stops the whole field.
   const core::Deadline race_dl = core::Deadline::after_at_most(-1.0, cap);
-  const auto lane_options = [&]() {
-    return core::SolveOptions{
-        core::Deadline::after_at_most(config.slice_seconds, race_dl)};
-  };
+  const core::SolveOptions lane_options{race_dl};
 
   Incumbent incumbent;
   // Each lane writes only its own slot; the phase-B pool join is the
@@ -196,9 +193,9 @@ model::Solution solve(const model::Instance& inst, const RaceConfig& config,
       model::Solution sol;
       if (seed != nullptr && lanes[i]->run_seeded != nullptr) {
         adoptions.fetch_add(1, std::memory_order_relaxed);
-        sol = lanes[i]->run_seeded(inst, lane_key, lane_options(), *seed);
+        sol = lanes[i]->run_seeded(inst, lane_key, lane_options, *seed);
       } else {
-        sol = lanes[i]->run(inst, lane_key, lane_options());
+        sol = lanes[i]->run(inst, lane_key, lane_options);
       }
       outcome.ran = true;
       outcome.status = sol.status;

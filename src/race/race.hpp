@@ -7,11 +7,11 @@
 // trade time for quality, exact is optimal but blows up combinatorially --
 // and no single family dominates (cf. PAPERS.md on competing CLP
 // formulations). race::solve turns that spread into a feature: each
-// portfolio member runs in its own lane with its own sub-deadline, every
-// completed result is published to a shared incumbent cell, and the first
-// lane that provably hits bounds::trivial_bound cancels the rest through
-// the deadline tree (core::Deadline::after_at_most links each lane's
-// deadline under the race's cancellable hub).
+// portfolio member runs in its own lane, every completed result is
+// published to a shared incumbent cell, and the first lane that provably
+// hits bounds::trivial_bound cancels the rest through the race deadline
+// that every lane shares (core::Deadline::after_at_most links it under the
+// caller's cap).
 //
 // Determinism contract: the greedy lane always runs first, inline, and is
 // the warm-start seed handed to every seedable lane -- lanes never seed
@@ -39,11 +39,8 @@ struct RaceConfig {
   /// Forwarded to families that consume them (annealing today).
   std::uint64_t seed = 1;
   std::uint64_t iterations = 2000;
-  /// Per-lane wall-clock budget, each clamped under solve.deadline. A
-  /// negative value means lanes share the full remaining cap.
-  double slice_seconds = -1.0;
-  /// The race-wide cap. Its cancel() (drain, SIGINT) reaches every lane
-  /// through the deadline tree.
+  /// The race-wide cap; every lane runs under it. Its cancel() (drain,
+  /// SIGINT) reaches every lane through the deadline tree.
   core::SolveOptions solve;
 };
 

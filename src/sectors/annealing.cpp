@@ -50,9 +50,9 @@ model::Solution anneal(const model::Instance& inst, model::Solution start,
   std::vector<double> current = best.alpha;
   double current_value = best_value;
 
-  double temperature = config.initial_temperature > 0.0
-                           ? config.initial_temperature
-                           : 0.05 * inst.total_demand();
+  // Start at 5% of total demand and cool geometrically per iteration.
+  constexpr double kCooling = 0.995;
+  double temperature = 0.05 * inst.total_demand();
   if (temperature <= 0.0) temperature = 1.0;
 
   std::size_t completed_iterations = 0;
@@ -71,7 +71,8 @@ model::Solution anneal(const model::Instance& inst, model::Solution start,
     proposal[j] = cands[j][rng.uniform_int(cands[j].size())];
 
     const model::Solution assigned =
-        assign::solve_successive(inst, proposal, config.oracle, config.solve);
+        assign::solve_successive(inst, proposal, knapsack::Oracle::greedy(),
+                                 config.solve);
     const double value = model::served_value(inst, assigned);
 
     const double delta = value - current_value;
@@ -90,7 +91,7 @@ model::Solution anneal(const model::Instance& inst, model::Solution start,
     }
     obs::trace_counter("anneal.temperature", temperature);
     obs::trace_counter("anneal.current_value", current_value);
-    temperature *= config.cooling;
+    temperature *= kCooling;
     ++completed_iterations;
   }
   c_epochs.add(completed_iterations);

@@ -11,7 +11,6 @@
 // polish pass for hard saturated instances.
 
 #include "src/core/deadline.hpp"
-#include "src/knapsack/knapsack.hpp"
 #include "src/model/solution.hpp"
 #include "src/sim/rng.hpp"
 
@@ -20,11 +19,8 @@ namespace sectorpack::sectors {
 struct AnnealConfig {
   std::uint64_t seed = 1;
   std::size_t iterations = 2000;
-  double initial_temperature = 0.0;  // 0 = auto: 5% of total demand
-  double cooling = 0.995;            // temperature *= cooling per iteration
-  knapsack::Oracle oracle = knapsack::Oracle::greedy();  // per-move assign
-  /// Re-assign with an exact oracle at the end (the walk itself can use the
-  /// cheap oracle).
+  /// Re-assign with an exact oracle at the end (each move of the walk
+  /// re-assigns with the greedy oracle).
   bool final_exact_assign = true;
   /// Deadline checked once per iteration; on expiry the walk stops, the
   /// final exact re-assign is skipped, and the best-so-far is returned with

@@ -87,8 +87,8 @@ single::WindowChoice sweep_unserved(const model::Instance& inst,
   }
   single::WindowChoice choice = single::best_window_weighted(
       thetas, values, demands, inst.antenna(j).rho, inst.antenna(j).capacity,
-      config.oracle, /*parallel=*/false, nullptr, cache,
-      ids.empty() ? index : stable, config.solve.deadline);
+      config.oracle, cache, ids.empty() ? index : stable,
+      config.solve.deadline);
   for (std::size_t& c : choice.chosen) c = index[c];
   return choice;
 }

@@ -82,8 +82,8 @@ model::Solution improve(const model::Instance& inst, model::Solution start,
       }
       const single::WindowChoice choice = single::best_window_weighted(
           thetas, values, demands, inst.antenna(j).rho,
-          inst.antenna(j).capacity, config.oracle, /*parallel=*/false,
-          /*pool=*/nullptr, &caches[j], index, deadline);
+          inst.antenna(j).capacity, config.oracle, &caches[j], index,
+          deadline);
       if (!choice.complete) expired = true;
       // A truncated sweep's incumbent is still a valid (possibly weaker)
       // re-orientation; applying it when improving keeps monotonicity.

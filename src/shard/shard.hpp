@@ -5,7 +5,7 @@
 // times A annular bands (band edges at customer-radius quantiles) -- and
 // the antennas are apportioned to shards proportionally to shard demand
 // (largest-remainder, deterministic). Each shard is an independent
-// sub-instance solved with the sectors greedy on the work-stealing pool
+// sub-instance solved with the sectors greedy on the global thread pool
 // under a slice of the caller's deadline; the shard solutions compose into
 // a feasible global solution because shards are customer- and
 // antenna-disjoint.

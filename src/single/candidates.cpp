@@ -1,16 +1,15 @@
-#include <algorithm>
+#include <utility>
 
 #include "src/geom/sweep.hpp"
 #include "src/knapsack/incremental.hpp"
 #include "src/obs/metrics.hpp"
-#include "src/par/parallel_for.hpp"
 #include "src/single/single.hpp"
 
 namespace sectorpack::single {
 
 namespace {
 
-// Per-scan tallies merged into the obs counters once per chunk (not per
+// Per-scan tallies merged into the obs counters once per scan (not per
 // window: the walk must stay branch-light when obs is off).
 [[gnu::noinline]] void record_scan(std::uint64_t steps, std::uint64_t enters,
                                    std::uint64_t leaves,
@@ -36,32 +35,44 @@ namespace {
   c_solves.add(stats.solves);
 }
 
-// Walk windows [begin, end) with membership deltas. The prototype carries
-// the density index (sorted once per call); each chunk clones it and
-// materializes only its first window. A window pays for a batch oracle
-// solve only when (a) its running value sum and (b) its O(log n) LP bound
-// both still beat the chunk incumbent -- neither skip can discard a window
-// the non-incremental scan would have used, because any oracle's value is
-// bounded by both.
-WindowChoice scan_range(const geom::WindowSweep& sweep,
-                        const knapsack::IncrementalOracle& proto,
-                        std::size_t begin, std::size_t end,
-                        const core::Deadline& deadline) {
+}  // namespace
+
+WindowChoice best_window_weighted(std::span<const double> thetas,
+                                  std::span<const double> values,
+                                  std::span<const double> demands, double rho,
+                                  double capacity,
+                                  const knapsack::Oracle& oracle,
+                                  knapsack::OracleCache* cache,
+                                  std::span<const std::size_t> ids,
+                                  const core::Deadline& deadline) {
+  const geom::WindowSweep sweep(thetas, rho);
+  const std::size_t nw = sweep.num_windows();
+  if (nw == 0) return {};
+
+  std::vector<knapsack::Item> universe(thetas.size());
+  for (std::size_t i = 0; i < thetas.size(); ++i) {
+    universe[i] = {values[i], demands[i]};
+  }
+  knapsack::IncrementalOracle inc(universe, capacity, oracle, cache, ids);
+
+  // Walk every window with membership deltas, materializing only the first.
+  // A window pays for a batch oracle solve only when (a) its running value
+  // sum and (b) its O(log n) LP bound both still beat the incumbent --
+  // neither skip can discard a window the non-incremental scan would have
+  // used, because any oracle's value is bounded by both.
   WindowChoice best;
-  knapsack::IncrementalOracle inc = proto;
   knapsack::IncrementalStats stats;
-  std::uint64_t enters = 0;
+  std::uint64_t enters = sweep.members(0).size();
   std::uint64_t leaves = 0;
-  for (std::size_t m : sweep.members(begin)) inc.add(m);
-  enters += sweep.members(begin).size();
-  for (std::size_t w = begin; w < end; ++w) {
+  for (std::size_t m : sweep.members(0)) inc.add(m);
+  for (std::size_t w = 0; w < nw; ++w) {
     // Deadline check per 64-window block; a truncated scan keeps its best
     // window so far and reports incompleteness through `complete`.
     if ((w & 63u) == 0 && deadline.expired()) {
       best.complete = false;
       break;
     }
-    if (w > begin) {
+    if (w > 0) {
       const geom::WindowDelta d = sweep.delta(w);
       for (std::size_t m : d.leave) inc.remove(m);
       for (std::size_t m : d.enter) inc.add(m);
@@ -83,69 +94,18 @@ WindowChoice scan_range(const geom::WindowSweep& sweep,
       best.chosen = std::move(res.chosen);
     }
   }
-  record_scan(end - begin, enters, leaves, stats);
+  record_scan(nw, enters, leaves, stats);
   return best;
-}
-
-// Deterministic combine: higher value wins, ties to the smaller alpha.
-// Completeness is a property of the whole scan, so it ANDs across chunks
-// regardless of which chunk wins.
-WindowChoice better_of(WindowChoice a, WindowChoice b) {
-  const bool complete = a.complete && b.complete;
-  if (b.value > a.value ||
-      (b.value == a.value && !b.chosen.empty() && b.alpha < a.alpha)) {
-    b.complete = complete;
-    return b;
-  }
-  a.complete = complete;
-  return a;
-}
-
-}  // namespace
-
-WindowChoice best_window_weighted(std::span<const double> thetas,
-                                  std::span<const double> values,
-                                  std::span<const double> demands, double rho,
-                                  double capacity,
-                                  const knapsack::Oracle& oracle,
-                                  bool parallel, par::ThreadPool* pool,
-                                  knapsack::OracleCache* cache,
-                                  std::span<const std::size_t> ids,
-                                  const core::Deadline& deadline) {
-  const geom::WindowSweep sweep(thetas, rho);
-  const std::size_t nw = sweep.num_windows();
-  if (nw == 0) return {};
-
-  std::vector<knapsack::Item> universe(thetas.size());
-  for (std::size_t i = 0; i < thetas.size(); ++i) {
-    universe[i] = {values[i], demands[i]};
-  }
-  const knapsack::IncrementalOracle proto(universe, capacity, oracle, cache,
-                                          ids);
-
-  if (!parallel) {
-    return scan_range(sweep, proto, 0, nw, deadline);
-  }
-  return par::parallel_reduce<WindowChoice>(
-      nw, /*grain=*/8, WindowChoice{},
-      [&](std::size_t b, std::size_t e) {
-        return scan_range(sweep, proto, b, e, deadline);
-      },
-      [](WindowChoice a, WindowChoice b) {
-        return better_of(std::move(a), std::move(b));
-      },
-      pool);
 }
 
 WindowChoice best_window(std::span<const double> thetas,
                          std::span<const double> demands, double rho,
                          double capacity, const knapsack::Oracle& oracle,
-                         bool parallel, par::ThreadPool* pool,
                          knapsack::OracleCache* cache,
                          std::span<const std::size_t> ids,
                          const core::Deadline& deadline) {
   return best_window_weighted(thetas, demands, demands, rho, capacity, oracle,
-                              parallel, pool, cache, ids, deadline);
+                              cache, ids, deadline);
 }
 
 }  // namespace sectorpack::single

@@ -16,7 +16,6 @@
 #include "src/knapsack/incremental.hpp"
 #include "src/knapsack/knapsack.hpp"
 #include "src/model/solution.hpp"
-#include "src/par/thread_pool.hpp"
 
 namespace sectorpack::single {
 
@@ -33,9 +32,7 @@ struct WindowChoice {
 /// Scan every candidate window of width `rho` over customers given by
 /// parallel arrays (thetas[i], demands[i]) and return the best packing into
 /// `capacity` according to `oracle`. Ties broken toward the smallest alpha
-/// so results are deterministic. `parallel` distributes windows over a
-/// thread pool (identical result, chunk-ordered reduction); `pool` selects
-/// the pool, defaulting to the process-global one.
+/// so results are deterministic.
 ///
 /// The scan walks consecutive windows with geom::WindowSweep::delta and a
 /// knapsack::IncrementalOracle, so a window only pays for a full oracle
@@ -45,14 +42,12 @@ struct WindowChoice {
 /// then map each customer to a stable, strictly ascending id (e.g. its
 /// instance index) so fingerprints agree across calls whose filtered
 /// customer lists differ.
-/// `deadline` is polled once per window chunk; on expiry the scan stops
+/// `deadline` is polled once per 64-window block; on expiry the scan stops
 /// and returns its incumbent with WindowChoice::complete == false.
 [[nodiscard]] WindowChoice best_window(std::span<const double> thetas,
                                        std::span<const double> demands,
                                        double rho, double capacity,
                                        const knapsack::Oracle& oracle,
-                                       bool parallel = false,
-                                       par::ThreadPool* pool = nullptr,
                                        knapsack::OracleCache* cache = nullptr,
                                        std::span<const std::size_t> ids = {},
                                        const core::Deadline& deadline = {});
@@ -63,8 +58,7 @@ struct WindowChoice {
 [[nodiscard]] WindowChoice best_window_weighted(
     std::span<const double> thetas, std::span<const double> values,
     std::span<const double> demands, double rho, double capacity,
-    const knapsack::Oracle& oracle, bool parallel = false,
-    par::ThreadPool* pool = nullptr, knapsack::OracleCache* cache = nullptr,
+    const knapsack::Oracle& oracle, knapsack::OracleCache* cache = nullptr,
     std::span<const std::size_t> ids = {},
     const core::Deadline& deadline = {});
 
@@ -86,7 +80,6 @@ struct WindowChoice {
 struct Config {
   knapsack::Oracle oracle = knapsack::Oracle::exact();
   std::size_t antenna = 0;  // which antenna of the instance to orient
-  bool parallel = false;
   core::SolveOptions solve;
 };
 

@@ -39,8 +39,7 @@ model::Solution solve(const model::Instance& inst, const Config& config) {
        uniform_demands(values, demands))
           ? best_window_uniform(thetas, demands[0], ant.rho, ant.capacity)
           : best_window_weighted(thetas, values, demands, ant.rho,
-                                 ant.capacity, config.oracle, config.parallel,
-                                 nullptr, nullptr, {},
+                                 ant.capacity, config.oracle, nullptr, {},
                                  config.solve.deadline);
 
   model::Solution sol = model::Solution::empty_for(inst);
@@ -57,15 +56,15 @@ model::Solution solve(const model::Instance& inst, const Config& config) {
 }
 
 model::Solution solve_exact(const model::Instance& inst) {
-  return solve(inst, Config{knapsack::Oracle::exact(), 0, false, {}});
+  return solve(inst, Config{knapsack::Oracle::exact(), 0, {}});
 }
 
 model::Solution solve_greedy(const model::Instance& inst) {
-  return solve(inst, Config{knapsack::Oracle::greedy(), 0, false, {}});
+  return solve(inst, Config{knapsack::Oracle::greedy(), 0, {}});
 }
 
 model::Solution solve_fptas(const model::Instance& inst, double eps) {
-  return solve(inst, Config{knapsack::Oracle::fptas(eps), 0, false, {}});
+  return solve(inst, Config{knapsack::Oracle::fptas(eps), 0, {}});
 }
 
 model::Solution solve_reference(const model::Instance& inst,

@@ -288,11 +288,9 @@ TEST(BestWindow, CachedAndUncachedScansAgreeBitForBit) {
         thetas, values, demands, rho, capacity, oracle);
     knapsack::OracleCache cache;
     const single::WindowChoice cold = single::best_window_weighted(
-        thetas, values, demands, rho, capacity, oracle, false, nullptr,
-        &cache, ids);
+        thetas, values, demands, rho, capacity, oracle, &cache, ids);
     const single::WindowChoice warm = single::best_window_weighted(
-        thetas, values, demands, rho, capacity, oracle, false, nullptr,
-        &cache, ids);
+        thetas, values, demands, rho, capacity, oracle, &cache, ids);
 
     EXPECT_EQ(plain.value, cold.value);
     EXPECT_EQ(plain.alpha, cold.alpha);

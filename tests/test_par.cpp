@@ -4,10 +4,12 @@
 
 #include <atomic>
 #include <chrono>
-#include <numeric>
 #include <thread>
 
+#include "src/obs/metrics.hpp"
+
 namespace par = sectorpack::par;
+namespace obs = sectorpack::obs;
 
 TEST(ThreadPool, RunsSubmittedTasks) {
   par::ThreadPool pool(2);
@@ -105,69 +107,10 @@ TEST(ParallelFor, PropagatesException) {
       std::runtime_error);
 }
 
-TEST(ParallelReduce, SumMatchesSerial) {
-  par::ThreadPool pool(4);
-  std::vector<double> data(5000);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = 0.001 * static_cast<double>(i * 7 % 1000);
-  }
-  const double serial = std::accumulate(data.begin(), data.end(), 0.0);
-  const double parallel = par::parallel_reduce<double>(
-      data.size(), 16, 0.0,
-      [&](std::size_t b, std::size_t e) {
-        double s = 0.0;
-        for (std::size_t i = b; i < e; ++i) s += data[i];
-        return s;
-      },
-      [](double a, double b) { return a + b; }, &pool);
-  // Deterministic chunk-ordered combination: repeated runs must agree
-  // bit-for-bit with each other (not necessarily with the serial order).
-  const double parallel2 = par::parallel_reduce<double>(
-      data.size(), 16, 0.0,
-      [&](std::size_t b, std::size_t e) {
-        double s = 0.0;
-        for (std::size_t i = b; i < e; ++i) s += data[i];
-        return s;
-      },
-      [](double a, double b) { return a + b; }, &pool);
-  EXPECT_EQ(parallel, parallel2);
-  EXPECT_NEAR(parallel, serial, 1e-9);
-}
-
-TEST(ParallelReduce, MaxReduction) {
-  par::ThreadPool pool(3);
-  const std::size_t n = 10000;
-  const double got = par::parallel_reduce<double>(
-      n, 8, -1.0,
-      [&](std::size_t b, std::size_t e) {
-        double m = -1.0;
-        for (std::size_t i = b; i < e; ++i) {
-          const double v =
-              static_cast<double>((i * 2654435761u) % 100000);
-          m = std::max(m, v);
-        }
-        return m;
-      },
-      [](double a, double b) { return std::max(a, b); }, &pool);
-  double want = -1.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    want = std::max(want, static_cast<double>((i * 2654435761u) % 100000));
-  }
-  EXPECT_EQ(got, want);
-}
-
-TEST(ParallelReduce, EmptyReturnsInit) {
-  par::ThreadPool pool(2);
-  const double got = par::parallel_reduce<double>(
-      0, 1, 42.0, [](std::size_t, std::size_t) { return 0.0; },
-      [](double a, double b) { return a + b; }, &pool);
-  EXPECT_DOUBLE_EQ(got, 42.0);
-}
-
 TEST(ThreadPool, StealsFromLoadedQueues) {
-  // Round-robin submission spreads 4*odd tasks over 4 queues; workers that
-  // finish their share early must steal the stragglers or the barrier never
-  // opens. A long sleep in one task per round forces the imbalance.
+  // Uneven tasks on the shared queue: one task in 16 sleeps, and the other
+  // workers must keep taking the rest while it does, or the barrier never
+  // opens. The name predates the single queue; what it checks still holds.
   par::ThreadPool pool(4);
   std::atomic<int> counter{0};
   std::mutex mu;
@@ -191,8 +134,8 @@ TEST(ThreadPool, StealsFromLoadedQueues) {
 }
 
 TEST(ThreadPool, ManySubmittersOneConsumerSet) {
-  // External submissions from several threads at once exercise the
-  // round-robin cursor and the sleep/wake protocol under contention.
+  // External submissions from several threads at once exercise the queue
+  // lock and the sleep/wake protocol under contention.
   par::ThreadPool pool(3);
   std::atomic<int> counter{0};
   std::mutex mu;
@@ -222,9 +165,21 @@ TEST(ThreadPool, ManySubmittersOneConsumerSet) {
 TEST(GlobalPool, Available) {
   par::ThreadPool& pool = par::ThreadPool::global();
   EXPECT_GE(pool.size(), 1u);
-#ifdef NDEBUG
-  // Configuring after first use is rejected (and asserts in debug builds,
-  // so only exercise the release-mode return path here).
-  EXPECT_FALSE(par::ThreadPool::set_global_threads(7));
-#endif
+}
+
+TEST(GlobalPool, SizeGaugeReportsTheGlobalPool) {
+  // par.pool.size is the global pool's worker count: a dedicated pool of
+  // another size (a batch engine's or a race's) must not overwrite it.
+  obs::set_enabled(true);
+  obs::reset();
+  const unsigned global_size = par::ThreadPool::global().size();
+  { par::ThreadPool other(global_size + 1); }
+  const obs::Snapshot snap = obs::snapshot();
+  obs::set_enabled(false);
+  obs::reset();
+  double gauge = -1.0;
+  for (const auto& [name, value] : snap.gauges) {
+    if (name == "par.pool.size") gauge = value;
+  }
+  EXPECT_EQ(gauge, static_cast<double>(global_size));
 }

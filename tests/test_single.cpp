@@ -97,21 +97,6 @@ TEST(SingleFptas, GuaranteeAcrossEps) {
   }
 }
 
-TEST(SingleSolve, ParallelEqualsSerial) {
-  for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    const model::Instance inst = random_p1(seed + 130, 40, 1.0, 30.0);
-    single::Config serial;
-    single::Config parallel;
-    parallel.parallel = true;
-    const model::Solution a = single::solve(inst, serial);
-    const model::Solution b = single::solve(inst, parallel);
-    EXPECT_DOUBLE_EQ(model::served_demand(inst, a),
-                     model::served_demand(inst, b));
-    EXPECT_EQ(a.alpha, b.alpha);
-    EXPECT_EQ(a.assign, b.assign);
-  }
-}
-
 TEST(SingleSolve, BadAntennaIndexThrows) {
   const model::Instance inst = random_p1(1, 3, 1.0, 5.0);
   single::Config c;

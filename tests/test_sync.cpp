@@ -154,8 +154,8 @@ TEST(SyncBoundedQueueTest, TimedPushFailsFastAfterClose) {
 
 TEST(SyncThreadPoolTest, DestructionDrainsQueuedWork) {
   // The destructor's contract is drain-then-join: tasks still sitting in
-  // the worker deques when ~ThreadPool starts must all run, not be
-  // dropped. A sleeping head task on a 1-worker pool guarantees a real
+  // the queue when ~ThreadPool starts must all run, not be dropped. A
+  // sleeping head task on a 1-worker pool guarantees a real
   // queued-but-unstarted backlog at destruction time.
   std::atomic<int> ran{0};
   {
@@ -170,8 +170,9 @@ TEST(SyncThreadPoolTest, DestructionDrainsQueuedWork) {
 }
 
 TEST(SyncThreadPoolTest, DestructionDrainsAcrossStealingWorkers) {
-  // Same contract under work stealing: several workers tearing down while
-  // tasks migrate between deques (TSan checks the per-queue locking).
+  // Same contract with several workers tearing down while they still
+  // share a backlog (TSan checks the queue locking). The name predates the
+  // single queue; what it checks still holds.
   std::atomic<int> ran{0};
   {
     par::ThreadPool pool(4);
@@ -180,4 +181,19 @@ TEST(SyncThreadPoolTest, DestructionDrainsAcrossStealingWorkers) {
     }
   }
   EXPECT_EQ(ran.load(), 1000);
+}
+
+TEST(SyncThreadPoolTest, DestructionDrainsTasksSubmittedDuringTeardown) {
+  // A running task may submit a follow-up after ~ThreadPool has set its
+  // stop flag. The follow-up must still run: the worker that is busy when
+  // the destructor starts has to empty the queue before it exits.
+  std::atomic<bool> follow_up_ran{false};
+  {
+    par::ThreadPool pool(1);
+    pool.submit([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      pool.submit([&] { follow_up_ran.store(true); });
+    });
+  }
+  EXPECT_TRUE(follow_up_ran.load());
 }
