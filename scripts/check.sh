@@ -26,13 +26,18 @@
 #              --jobs 8 under ASan+UBSan and again under TSan, asserting
 #              one response per request, exact per-status counts,
 #              miss/solve byte-identity, verified cache hits, and cache
-#              metrics in --stats json.
+#              metrics in --stats json; then the SIGINT drain gate under
+#              ASan+UBSan (three slow requests at --jobs 1, SIGINT after
+#              1 s: exit 0 within 5 s, the solve in flight cancelled, the
+#              two queued requests rejected).
 #   serve      the `sectorpack serve` session contract (docs/serving.md):
 #              one register plus 50 mixed deltas (add/remove/demand/
 #              antenna) under ASan+UBSan; every response's incremental
 #              solution must be byte-identical to a from-scratch greedy
 #              solve of the same post-delta instance, and the delta stream
-#              must produce dirty-window memo hits.
+#              must produce dirty-window memo hits; then the SIGINT drain
+#              gate (a slow register, SIGINT after 1 s, later ops
+#              rejected).
 #   huge       the spatial-index contract at scale (docs/performance.md): a
 #              sanitized 10^5-customer instance solved with --spatial flat
 #              and --spatial index must produce byte-identical solution
@@ -661,6 +666,64 @@ run_huge() {
   echo "[gate] huge: PASS (ASan+UBSan, build dir: $build_dir)"
 }
 
+# SIGINT drain contract (docs/serving.md) against the build at $1 for the
+# front end $2 (batch or serve): three input lines behind a solve that
+# would run out a 5 s budget, SIGINT after 1 s -- by then batch has read
+# its last line. The run must exit 0 within 5 s with interrupted=yes, the
+# solve in flight answered budget_exhausted and the two later lines
+# rejected with the drain's reason.
+run_drain_gate() {
+  local CLI="$1/tools/sectorpack"
+  local front="$2"
+  local TMP
+  TMP="$(mktemp -d)"
+  # Self-clearing: a RETURN trap outlives the function that set it and
+  # would re-fire (with $TMP unbound) at the next function return.
+  trap 'rm -rf "$TMP"; trap - RETURN' RETURN
+
+  "$CLI" generate --n 40 --k 3 --seed 11 -o "$TMP/slow.inst" 2>/dev/null
+  python3 - "$TMP" "$CLI" "$front" <<'EOF'
+import json, signal, subprocess, sys, time
+tmp, cli, front = sys.argv[1:4]
+slow = {"instance_file": "%s/slow.inst" % tmp, "solver": "annealing",
+        "iterations": 2000000000, "time_limit": 5}
+if front == "batch":
+    lines = [slow] * 3
+    cmd = [cli, "batch", "--jobs", "1"]
+else:
+    lines = [dict(slow, op="register"),
+             {"op": "demand_set", "session": "s0", "customer": 0,
+              "demand": 2},
+             {"op": "close", "session": "s0"}]
+    cmd = [cli, "serve"]
+with open("%s/in.jsonl" % tmp, "w") as f:
+    f.write("".join(json.dumps(line) + "\n" for line in lines))
+cmd += ["--in", "%s/in.jsonl" % tmp, "--out", "%s/out.jsonl" % tmp]
+
+start = time.monotonic()
+proc = subprocess.Popen(cmd, stderr=subprocess.PIPE, text=True)
+time.sleep(1.0)
+proc.send_signal(signal.SIGINT)
+try:
+    _, err = proc.communicate(timeout=4.0)
+except subprocess.TimeoutExpired:
+    proc.kill()
+    proc.communicate()
+    sys.exit("FAIL: %s still running 5 s after start despite SIGINT at 1 s"
+             % front)
+elapsed = time.monotonic() - start
+assert proc.returncode == 0, (proc.returncode, err)
+assert "interrupted=yes" in err, err
+responses = [json.loads(l) for l in open("%s/out.jsonl" % tmp)]
+statuses = [r["status"] for r in responses]
+assert statuses == ["budget_exhausted", "rejected", "rejected"], statuses
+reason = "%s draining (interrupted)" % front
+assert all(r["error"] == reason for r in responses[1:]), responses[1:]
+print("%s SIGINT drain OK: exit 0 after %.1f s, %s"
+      % (front, elapsed, ", ".join(statuses)))
+EOF
+}
+
 run_batch() {
   local build_dir
   # ASan + UBSan pass.
@@ -669,12 +732,13 @@ run_batch() {
     -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
   cmake --build "$build_dir" -j"$JOBS"
   run_batch_corpus "$build_dir" 8
+  run_drain_gate "$build_dir" batch
   # TSan pass at --jobs 8: races in the queue / cache / reorder buffer.
   cmake -B build-tsan -S . -DSECTORPACK_TSAN=ON -DSECTORPACK_SANITIZE=OFF \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
   cmake --build build-tsan -j"$JOBS"
   run_batch_corpus build-tsan 8
-  echo "[gate] batch: PASS (ASan+UBSan and TSan, --jobs 8)"
+  echo "[gate] batch: PASS (ASan+UBSan and TSan, --jobs 8; SIGINT drain)"
 }
 
 # The 50-delta session-serving byte-identity battery against the build at
@@ -805,7 +869,9 @@ run_serve() {
     -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
   cmake --build "$build_dir" -j"$JOBS"
   run_serve_corpus "$build_dir"
-  echo "[gate] serve: PASS (ASan+UBSan, 50-delta byte-identity)"
+  run_drain_gate "$build_dir" serve
+  echo "[gate] serve: PASS (ASan+UBSan, 50-delta byte-identity; SIGINT" \
+       "drain)"
 }
 
 # Portfolio-racing contract (docs/performance.md) against the build at $1:

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <istream>
 #include <map>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
-#include <vector>
 
 #include "src/bench_util/timer.hpp"
 #include "src/core/sync.hpp"
@@ -21,6 +21,7 @@
 #include "src/par/thread_pool.hpp"
 #include "src/race/race.hpp"
 #include "src/srv/cache.hpp"
+#include "src/srv/drain.hpp"
 #include "src/srv/jsonl.hpp"
 #include "src/srv/solvers.hpp"
 #include "src/verify/verify.hpp"
@@ -48,6 +49,32 @@ model::Solution run_solver(const model::Instance& inst, const SolverKey& key,
     throw std::invalid_argument("unknown solver: " + key.family);
   }
   return family->run(inst, key, opts);
+}
+
+QualityRecorder::QualityRecorder(std::span<const SolverFamily> families)
+    : gap_(obs::hdr_histogram("quality.gap_permille")) {
+  for (const SolverFamily& family : families) {
+    const std::string prefix = std::string("quality.") + family.name;
+    families_.push_back({family.name, obs::counter(prefix + ".solves"),
+                         obs::counter(prefix + ".gap_permille_sum")});
+  }
+}
+
+void QualityRecorder::record(const model::Instance& inst,
+                             std::string_view family, double served) const {
+  if (!obs::enabled()) return;
+  // The clamp guards rounding noise when served == bound.
+  const double bound = bounds::trivial_bound(inst);
+  const double gap =
+      bound > 0.0 ? std::clamp(1000.0 * (bound - served) / bound, 0.0, 1000.0)
+                  : 0.0;
+  gap_.observe(gap);
+  for (const Family& f : families_) {
+    if (f.name == family) {
+      f.solves.inc();
+      f.gap_sum.add(static_cast<std::uint64_t>(std::llround(gap)));
+    }
+  }
 }
 
 Request parse_solve_fields(const JsonObject& object) {
@@ -130,8 +157,7 @@ class Engine {
   Engine(std::ostream& out, const BatchConfig& config)
       : out_(out),
         config_(config),
-        global_(config.time_limit >= 0.0 ? core::Deadline::after(config.time_limit)
-                                         : core::Deadline::never()),
+        drain_("batch", config.time_limit, config.interrupt),
         cache_(config.cache_entries),
         slo_(config.slo_window),
         c_ok_(obs::counter("srv.requests.ok")),
@@ -143,19 +169,7 @@ class Engine {
         g_inflight_(obs::gauge("srv.inflight")),
         h_request_ms_(obs::hdr_histogram("srv.request_ms")),
         h_queue_us_(obs::hdr_histogram("srv.queue_wait_us")),
-        h_gap_(obs::hdr_histogram("quality.gap_permille")) {
-    // Pre-register the per-family quality counters so the worker hot path
-    // never takes the registration mutex. Driven by the solver registry so
-    // a new family gets its counters for free.
-    for (const SolverFamily& family : solver_families()) {
-      quality_.emplace(
-          family.name,
-          QualityCounters{
-              obs::counter(std::string("quality.") + family.name + ".solves"),
-              obs::counter(std::string("quality.") + family.name +
-                           ".gap_permille_sum")});
-    }
-  }
+        quality_(solver_families()) {}
 
   BatchReport run(std::istream& in) {
     {
@@ -165,14 +179,13 @@ class Engine {
                                        ? config_.queue_capacity
                                        : std::size_t{4} * workers;
       queue_ = std::make_unique<par::BoundedQueue<Request>>(capacity);
-      inflight_.assign(workers, core::Deadline{});
       // The reorder window bounds completed-but-unemitted responses, so a
       // single slow request cannot make the output buffer grow with the
       // whole input.
       window_ = capacity + std::size_t{2} * workers + 16;
 
       for (unsigned w = 0; w < workers; ++w) {
-        pool.submit([this, w] { pump(w); });
+        pool.submit([this] { pump(); });
       }
 
       std::string line;
@@ -181,10 +194,9 @@ class Engine {
           continue;  // blank line: not a request, no response
         }
         const std::size_t index = total_++;
-        maybe_trigger_drain();
-        if (draining()) {
+        if (drain_.draining()) {
           complete_unsolved(index, /*id=*/"", RequestStatus::kRejected,
-                            drain_reason_);
+                            drain_.reason());
           continue;
         }
         Request req;
@@ -217,7 +229,7 @@ class Engine {
     report.cache_hits = cache_.hits();
     report.cache_misses = cache_.misses();
     report.cache_evictions = cache_.evictions();
-    report.interrupted = draining();
+    report.interrupted = drain_.draining();
     report.slo_summary = slo_.summary().to_string();
     return report;
   }
@@ -245,53 +257,18 @@ class Engine {
     const std::string id = req.id;
     req.admitted_at = std::chrono::steady_clock::now();
     bool pushed = false;
-    while (!pushed && !draining()) {
-      Request& slot = req;
-      pushed = queue_->try_push_for(slot, std::chrono::milliseconds(50));
+    while (!pushed && !drain_.draining()) {
+      pushed = queue_->try_push_for(req, std::chrono::milliseconds(50));
       g_queue_depth_.set(static_cast<double>(queue_->size()));
-      if (!pushed) maybe_trigger_drain();
     }
     if (!pushed) {
-      complete_unsolved(index, id, RequestStatus::kRejected, drain_reason_);
+      complete_unsolved(index, id, RequestStatus::kRejected, drain_.reason());
     }
-  }
-
-  void maybe_trigger_drain() {
-    if (draining()) return;
-    // sp-sync: relaxed poll of the caller's interrupt flag; detection may
-    // lag by one 50ms admission round, which drain tolerates.
-    if (config_.interrupt != nullptr &&
-        config_.interrupt->load(std::memory_order_relaxed)) {
-      trigger_drain("batch draining (interrupted)", /*interrupted=*/true);
-    } else if (global_.expired()) {
-      trigger_drain("global time limit exhausted before start",
-                    /*interrupted=*/false);
-    }
-  }
-
-  void trigger_drain(const char* reason, bool interrupted) {
-    {
-      const core::LockGuard lock(inflight_mu_);
-      // sp-sync: relaxed read is exact under inflight_mu_ -- every
-      // draining_ store happens inside this critical section.
-      if (draining_.load(std::memory_order_relaxed)) return;
-      drain_reason_ = reason;
-      if (interrupted) core::note_expired("srv.batch");
-      draining_.store(true, std::memory_order_release);
-      // In-flight solves finish promptly as feasible budget-exhausted
-      // incumbents; queued requests are rejected at dequeue time.
-      for (const core::Deadline& d : inflight_) d.cancel();
-    }
-    global_.cancel();
-  }
-
-  [[nodiscard]] bool draining() const {
-    return draining_.load(std::memory_order_acquire);
   }
 
   // ---------------------------------------------------------------- workers
 
-  void pump(unsigned slot) {
+  void pump() {
     Request req;
     while (queue_->pop(req)) {
       g_queue_depth_.set(static_cast<double>(queue_->size()));
@@ -302,7 +279,7 @@ class Engine {
       const std::size_t index = req.index;
       const std::string id = req.id;
       try {
-        process(std::move(req), slot);
+        process(std::move(req));
       } catch (const std::exception& e) {
         // Defensive: process() handles per-request errors itself; anything
         // escaping is an engine bug surfaced as an invalid response rather
@@ -316,7 +293,7 @@ class Engine {
     }
   }
 
-  void process(Request req, unsigned slot) {
+  void process(Request req) {
     const obs::ScopedSpan span("srv.request");
     const bench_util::Timer timer;
     // Queue wait: admission (admit() stamped the request) to dequeue. A
@@ -330,9 +307,9 @@ class Engine {
                   .count();
     h_queue_us_.observe(queue_us);
 
-    if (draining()) {
+    if (drain_.draining()) {
       complete_unsolved(req.index, req.id, RequestStatus::kRejected,
-                        drain_reason_, queue_us);
+                        drain_.reason(), queue_us);
       return;
     }
 
@@ -370,31 +347,14 @@ class Engine {
       }
     }
 
-    // Per-request budget, clamped under the remaining global budget, and
-    // always cancellable so a drain can interrupt this solve. Register the
-    // deadline before solving; if a drain already started, cancel it
-    // ourselves (the drain's cancel sweep may have run before we
-    // registered).
-    const core::Deadline deadline =
-        core::Deadline::after_at_most(req.time_limit, global_);
-    {
-      const core::LockGuard lock(inflight_mu_);
-      inflight_[slot] = deadline;
-      // sp-sync: relaxed read is exact under inflight_mu_ (stores happen
-      // under it in trigger_drain).
-      if (draining_.load(std::memory_order_relaxed)) deadline.cancel();
-    }
-
+    // The request's budget, clamped under the global one; a drain cancels
+    // it mid-solve.
     model::Solution sol;
     std::string error;
     try {
-      sol = run_solver(inst, req.solver, core::SolveOptions{deadline});
+      sol = run_solver(inst, req.solver, drain_.arm(req.time_limit));
     } catch (const std::exception& e) {
       error = e.what();  // e.g. exact-solver tuple-space overflow
-    }
-    {
-      const core::LockGuard lock(inflight_mu_);
-      inflight_[slot] = core::Deadline{};
     }
     if (!error.empty()) {
       complete_unsolved(req.index, req.id, RequestStatus::kInvalid, error,
@@ -439,23 +399,7 @@ class Engine {
     slo_.record(elapsed_ms, /*deadline_ok=*/status == RequestStatus::kOk,
                 cache_hit ? obs::SloKind::kCacheHit : obs::SloKind::kSolve);
 
-    if (obs::enabled()) {
-      // Solution quality against the cheap demand/capacity bound, in
-      // permille of the bound (0 = matched the bound, 1000 = served
-      // nothing). The clamp guards rounding noise when served == bound.
-      const double bound = bounds::trivial_bound(inst);
-      const double gap =
-          bound > 0.0
-              ? std::clamp(1000.0 * (bound - served) / bound, 0.0, 1000.0)
-              : 0.0;
-      h_gap_.observe(gap);
-      const auto it = quality_.find(req.solver.family);
-      if (it != quality_.end()) {
-        it->second.solves.inc();
-        it->second.gap_sum.add(
-            static_cast<std::uint64_t>(std::llround(gap)));
-      }
-    }
+    quality_.record(inst, req.solver.family, served);
 
     std::string access;
     if (config_.access_log != nullptr) {
@@ -545,21 +489,12 @@ class Engine {
 
   std::ostream& out_;
   const BatchConfig config_;
-  core::Deadline global_;
+  Drain drain_;
   ResultCache cache_;
 
   std::unique_ptr<par::BoundedQueue<Request>> queue_;
   std::size_t window_ = 0;
   std::size_t total_ = 0;
-
-  core::Mutex inflight_mu_;
-  std::vector<core::Deadline> inflight_ SP_GUARDED_BY(inflight_mu_);
-  std::atomic<bool> draining_{false};
-  // Written once under inflight_mu_ strictly before the release-store of
-  // draining_; readers see it only after draining() observes true
-  // (acquire), so it is immutable from their perspective -- deliberately
-  // not mu-guarded, the rejection path reads it lock-free.
-  std::string drain_reason_;
 
   /// One completed request waiting in the reorder buffer: its response
   /// line plus (when enabled) its access-log line, emitted together.
@@ -579,11 +514,6 @@ class Engine {
   std::atomic<std::size_t> n_rejected_{0};
   std::atomic<std::size_t> inflight_count_{0};
 
-  struct QualityCounters {
-    obs::Counter solves;
-    obs::Counter gap_sum;  // integer permille, divide by solves for mean
-  };
-
   obs::SloTracker slo_;
   obs::Counter c_ok_;
   obs::Counter c_budget_;
@@ -594,8 +524,7 @@ class Engine {
   obs::Gauge g_inflight_;
   obs::HdrHistogram h_request_ms_;
   obs::HdrHistogram h_queue_us_;
-  obs::HdrHistogram h_gap_;
-  std::map<std::string, QualityCounters> quality_;
+  QualityRecorder quality_;
 };
 
 }  // namespace

@@ -14,23 +14,30 @@
 //
 // Failure isolation is per request: a malformed line, an unreadable
 // instance, or an unknown solver yields a status "invalid" response and
-// the batch continues. A global budget or an interrupt (SIGINT in the CLI)
-// stops admission, cancels the deadlines of in-flight solves (they finish
-// as feasible budget-exhausted incumbents), and answers everything not yet
-// started with status "rejected" -- every input line always gets exactly
-// one response. See docs/serving.md for the request/response schema.
+// the batch continues. A lapsed global budget or an interrupt (SIGINT in
+// the CLI) starts a drain (srv::Drain, shared with `serve`), also after
+// the last input line was read: admission stops, the solves in flight
+// finish as feasible budget-exhausted incumbents, and everything not yet
+// started is answered with status "rejected" -- every input line always
+// gets exactly one response. See docs/serving.md for the request/response
+// schema.
 
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "src/core/deadline.hpp"
 #include "src/model/solution.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/srv/fingerprint.hpp"
 #include "src/srv/jsonl.hpp"
+#include "src/srv/solvers.hpp"
 
 namespace sectorpack::srv {
 
@@ -82,7 +89,7 @@ struct BatchReport {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;
-  bool interrupted = false;  // a drain was triggered before input ran out
+  bool interrupted = false;  // a drain started (interrupt or global budget)
   /// Rolling-window SLO rollup at drain (obs::SloTracker::Summary
   /// to_string: window, p50/p95/p99 ms, deadline and cache hit-rates).
   std::string slo_summary;
@@ -106,6 +113,32 @@ BatchReport run_batch(std::istream& in, std::ostream& out,
 [[nodiscard]] model::Solution run_solver(const model::Instance& inst,
                                          const SolverKey& key,
                                          const core::SolveOptions& opts);
+
+/// Solution-quality telemetry, the same for `sectorpack solve` and the
+/// batch engine: a solve's gap to bounds::trivial_bound, in permille of
+/// the bound (0 = matched it, 1000 = served nothing), goes to the
+/// `quality.gap_permille` histogram and to the
+/// `quality.<family>.{solves,gap_permille_sum}` counters. The constructor
+/// registers the histogram and the counters of each of `families`, so
+/// record() never takes the obs registration mutex.
+class QualityRecorder {
+ public:
+  explicit QualityRecorder(std::span<const SolverFamily> families);
+
+  /// No-op while obs is disabled. A family not registered at construction
+  /// reaches the histogram only.
+  void record(const model::Instance& inst, std::string_view family,
+              double served) const;
+
+ private:
+  struct Family {
+    std::string_view name;
+    obs::Counter solves;
+    obs::Counter gap_sum;  // integer permille; divide by solves for the mean
+  };
+  obs::HdrHistogram gap_;
+  std::vector<Family> families_;
+};
 
 /// Parse one request line (exposed for tests; run_batch uses it per line).
 /// Throws std::runtime_error naming the offending field.

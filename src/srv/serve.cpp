@@ -1,12 +1,9 @@
-#include "src/core/sync.hpp"
 #include "src/srv/serve.hpp"
 
-#include <chrono>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "src/bench_util/timer.hpp"
@@ -16,6 +13,7 @@
 #include "src/obs/metrics.hpp"
 #include "src/obs/slo.hpp"
 #include "src/obs/trace.hpp"
+#include "src/srv/drain.hpp"
 #include "src/srv/engine.hpp"
 #include "src/srv/jsonl.hpp"
 #include "src/srv/session.hpp"
@@ -137,17 +135,15 @@ std::string ServeReport::to_string() const {
 
 namespace {
 
-/// Everything one run_serve call needs. Sequential op loop plus a monitor
-/// thread that turns the interrupt flag / global budget into a cancel of
+/// Everything one run_serve call needs: the sequential op loop, and the
+/// drain that turns the interrupt flag / global budget into a cancel of
 /// the op in flight.
 class ServeLoop {
  public:
   ServeLoop(std::ostream& out, const ServeConfig& config)
       : out_(out),
         config_(config),
-        global_(config.time_limit >= 0.0
-                    ? core::Deadline::after(config.time_limit)
-                    : core::Deadline::never()),
+        drain_("serve", config.time_limit, config.interrupt),
         slo_(config.slo_window),
         c_ok_(obs::counter("serve.requests.ok")),
         c_budget_(obs::counter("serve.requests.budget_exhausted")),
@@ -161,8 +157,6 @@ class ServeLoop {
         h_dirty_(obs::hdr_histogram("serve.dirty_permille")) {}
 
   ServeReport run(std::istream& in) {
-    std::thread monitor([this] { watch(); });
-
     std::string line;
     std::size_t index = 0;
     while (std::getline(in, line)) {
@@ -178,82 +172,22 @@ class ServeLoop {
     // (and the CLI's final exporter tick) so `serve.sessions` ends at 0.
     store_.clear();
     g_sessions_.set(0.0);
-
-    {
-      const core::LockGuard lock(mu_);
-      stop_ = true;
-    }
-    monitor.join();
-
     slo_.publish();
 
     ServeReport report = report_;
-    report.interrupted = draining();
+    report.interrupted = drain_.draining();
     report.slo_summary = slo_.summary().to_string();
     return report;
   }
 
  private:
-  // ------------------------------------------------------------------ drain
-
-  void watch() {
-    for (;;) {
-      {
-        const core::LockGuard lock(mu_);
-        if (stop_) return;
-        if (!draining_) {
-          // sp-sync: relaxed poll of the caller's interrupt flag; the 5ms
-          // monitor cadence dominates any propagation delay.
-          if (config_.interrupt != nullptr &&
-              config_.interrupt->load(std::memory_order_relaxed)) {
-            begin_drain_locked("serve draining (interrupted)");
-          } else if (global_.expired()) {
-            begin_drain_locked("global time limit exhausted");
-          }
-        }
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-  }
-
-  void begin_drain_locked(const char* reason) SP_REQUIRES(mu_) {
-    draining_ = true;
-    drain_reason_ = reason;
-    core::note_expired("srv.serve");
-    // The op in flight finishes promptly as a feasible budget-exhausted
-    // incumbent; every later line is rejected before it starts.
-    inflight_.cancel();
-    global_.cancel();
-  }
-
-  [[nodiscard]] bool draining() {
-    const core::LockGuard lock(mu_);
-    if (!draining_) {
-      // The monitor polls at 5ms; checking inline here as well keeps the
-      // first post-interrupt line from slipping through the gap.
-      // sp-sync: relaxed poll of the caller's interrupt flag (see watch()).
-      if (config_.interrupt != nullptr &&
-          config_.interrupt->load(std::memory_order_relaxed)) {
-        begin_drain_locked("serve draining (interrupted)");
-      } else if (global_.expired()) {
-        begin_drain_locked("global time limit exhausted");
-      }
-    }
-    return draining_;
-  }
-
   // ------------------------------------------------------------------- loop
 
   void handle_line(const std::string& line, std::size_t index) {
     ++report_.requests;
-    if (draining()) {
-      std::string reason;
-      {
-        const core::LockGuard lock(mu_);
-        reason = drain_reason_;
-      }
+    if (drain_.draining()) {
       emit_error(index, /*id=*/"", /*session=*/"", RequestStatus::kRejected,
-                 reason);
+                 drain_.reason());
       return;
     }
     ServeOp op;
@@ -328,8 +262,8 @@ class ServeLoop {
     g_sessions_.set(static_cast<double>(store_.size()));
     ++report_.registers;
 
-    const ResolveStats stats = session->solve_initial(arm(op.time_limit));
-    disarm();
+    const ResolveStats stats =
+        session->solve_initial(drain_.arm(op.time_limit));
     const double elapsed_ms = timer.elapsed_ms();
     h_register_ms_.observe(elapsed_ms);
     emit_solved(op, id, *session, stats, elapsed_ms);
@@ -343,23 +277,17 @@ class ServeLoop {
       return;
     }
     const bench_util::Timer timer;
-    const core::SolveOptions opts = arm(op.time_limit);
+    const core::SolveOptions opts = drain_.arm(op.time_limit);
     ResolveStats stats;
-    try {
-      if (op.op == "customer_add") {
-        stats = session->customer_add(op.customer_rec, opts);
-      } else if (op.op == "customer_remove") {
-        stats = session->customer_remove(op.customer, opts);
-      } else if (op.op == "demand_set") {
-        stats = session->demand_set(op.customer, op.demand, opts);
-      } else {  // antenna_add (parse_serve_op admits nothing else)
-        stats = session->antenna_add(op.antenna, opts);
-      }
-    } catch (...) {
-      disarm();
-      throw;
+    if (op.op == "customer_add") {
+      stats = session->customer_add(op.customer_rec, opts);
+    } else if (op.op == "customer_remove") {
+      stats = session->customer_remove(op.customer, opts);
+    } else if (op.op == "demand_set") {
+      stats = session->demand_set(op.customer, op.demand, opts);
+    } else {  // antenna_add (parse_serve_op admits nothing else)
+      stats = session->antenna_add(op.antenna, opts);
     }
-    disarm();
     const double elapsed_ms = timer.elapsed_ms();
     ++report_.deltas;
     h_delta_ms_.observe(elapsed_ms);
@@ -369,22 +297,6 @@ class ServeLoop {
     c_memo_hits_.add(stats.memo_hits);
     c_memo_misses_.add(stats.fresh_evals);
     emit_solved(op, op.session, *session, stats, elapsed_ms);
-  }
-
-  /// Per-op deadline, clamped under the remaining global budget and
-  /// registered so the drain monitor can cancel it mid-solve.
-  core::SolveOptions arm(double time_limit) {
-    const core::Deadline deadline =
-        core::Deadline::after_at_most(time_limit, global_);
-    const core::LockGuard lock(mu_);
-    inflight_ = deadline;
-    if (draining_) deadline.cancel();
-    return core::SolveOptions{deadline};
-  }
-
-  void disarm() {
-    const core::LockGuard lock(mu_);
-    inflight_ = core::Deadline{};
   }
 
   // -------------------------------------------------------------- responses
@@ -457,17 +369,10 @@ class ServeLoop {
 
   std::ostream& out_;
   const ServeConfig& config_;
-  core::Deadline global_;
+  Drain drain_;
   SessionStore store_;
   obs::SloTracker slo_;
   ServeReport report_;
-
-  core::Mutex mu_;
-  bool stop_ SP_GUARDED_BY(mu_) = false;
-  bool draining_ SP_GUARDED_BY(mu_) = false;
-  std::string drain_reason_ SP_GUARDED_BY(mu_);
-  core::Deadline inflight_
-      SP_GUARDED_BY(mu_);  // the handle; cancel() itself is thread-safe
 
   obs::Counter c_ok_;
   obs::Counter c_budget_;

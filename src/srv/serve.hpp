@@ -17,12 +17,12 @@
 // loop continues; the session named by a failed delta keeps its previous
 // instance and solution.
 //
-// The loop is sequential (sessions are mutable state; one writer). Drain is
-// cooperative, like batch: a monitor thread watches the interrupt flag and
-// the global budget, cancels the deadline of the op in flight (it finishes
-// as a feasible budget-exhausted incumbent), and every later line is
-// answered with status "rejected". Every input line always gets exactly one
-// response, and all sessions are closed before run_serve returns.
+// The loop is sequential (sessions are mutable state; one writer). It
+// drains through srv::Drain, like batch: on an interrupt or a lapsed global
+// budget the op in flight finishes as a feasible budget-exhausted
+// incumbent, and every later line is answered with status "rejected".
+// Every input line always gets exactly one response, and all sessions are
+// closed before run_serve returns.
 
 #include <atomic>
 #include <cstddef>
@@ -85,7 +85,7 @@ struct ServeReport {
   std::size_t rejected = 0;
   std::uint64_t memo_hits = 0;    // dirty-window memo hits across deltas
   std::uint64_t fresh_evals = 0;  // window sweeps actually paid for
-  bool interrupted = false;  // a drain was triggered before input ran out
+  bool interrupted = false;  // a drain started (interrupt or global budget)
   /// Rolling-window SLO rollup at drain (obs::SloTracker::Summary).
   std::string slo_summary;
 

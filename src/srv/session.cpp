@@ -280,18 +280,4 @@ bool SessionStore::close(const std::string& id) {
   return sessions_.erase(id) > 0;
 }
 
-std::vector<std::string> SessionStore::ids() const {
-  // std::map orders lexicographically ("s10" < "s2"); creation order is by
-  // numeric suffix, so sort on that.
-  std::vector<std::string> out;
-  out.reserve(sessions_.size());
-  for (const auto& [id, _] : sessions_) out.push_back(id);
-  std::sort(out.begin(), out.end(), [](const std::string& a,
-                                       const std::string& b) {
-    if (a.size() != b.size()) return a.size() < b.size();
-    return a < b;
-  });
-  return out;
-}
-
 }  // namespace sectorpack::srv

@@ -170,8 +170,6 @@ class SessionStore {
   bool close(const std::string& id);
   void clear() { sessions_.clear(); }
   [[nodiscard]] std::size_t size() const noexcept { return sessions_.size(); }
-  /// Live ids in creation order (drain closes them deterministically).
-  [[nodiscard]] std::vector<std::string> ids() const;
 
  private:
   std::map<std::string, std::unique_ptr<Session>> sessions_;

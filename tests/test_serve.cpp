@@ -299,9 +299,6 @@ TEST(SessionStore, CreateFindCloseAndNumericIdOrder) {
   EXPECT_EQ(created.front(), "s0");
   EXPECT_EQ(created.back(), "s10");
   EXPECT_EQ(store.size(), 11u);
-  // ids() is creation order even when lexicographic order differs ("s10"
-  // sorts before "s2" lexicographically).
-  EXPECT_EQ(store.ids(), created);
 
   ASSERT_NE(store.find("s3"), nullptr);
   EXPECT_EQ(store.find("nope"), nullptr);
@@ -312,7 +309,6 @@ TEST(SessionStore, CreateFindCloseAndNumericIdOrder) {
 
   store.clear();
   EXPECT_EQ(store.size(), 0u);
-  EXPECT_TRUE(store.ids().empty());
 }
 
 // ------------------------------------------------------- serve protocol

@@ -12,8 +12,10 @@
 #include <set>
 #include <span>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/sectorpack.hpp"
@@ -549,6 +551,80 @@ TEST(SrvEngine, InterruptFlagDrainsWithRejections) {
   EXPECT_TRUE(report.interrupted);
   EXPECT_EQ(report.rejected, 5u);
   EXPECT_EQ(parse_responses(output).size(), 5u);
+}
+
+/// Input that sets an interrupt flag when the reader hits its end: every
+/// line is already read, so only a drain that keeps watching after the
+/// last line can notice the flag.
+class InterruptAtEndOfInput : public std::streambuf {
+ public:
+  InterruptAtEndOfInput(std::string text, std::atomic<bool>* flag)
+      : text_(std::move(text)), flag_(flag) {
+    setg(text_.data(), text_.data(), text_.data() + text_.size());
+  }
+
+ protected:
+  // Called only once the whole text was consumed.
+  int_type underflow() override {
+    flag_->store(true);
+    return traits_type::eof();
+  }
+
+ private:
+  std::string text_;
+  std::atomic<bool>* flag_;
+};
+
+/// Three requests that each run out their 5 s budget unless cancelled.
+std::string slow_requests() {
+  const std::string inst_text = model::to_string(small_instance());
+  std::string input;
+  for (int i = 0; i < 3; ++i) {
+    input += json_line(inst_text,
+                       ",\"solver\":\"annealing\",\"iterations\":2000000000"
+                       ",\"time_limit\":5");
+    input += "\n";
+  }
+  return input;
+}
+
+TEST(SrvEngine, InterruptAfterLastLineCancelsAndRejects) {
+  std::atomic<bool> interrupt{false};
+  InterruptAtEndOfInput buf(slow_requests(), &interrupt);
+  std::istream in(&buf);
+  std::ostringstream out;
+  srv::BatchConfig config;
+  config.jobs = 1;
+  config.interrupt = &interrupt;
+  const srv::BatchReport report = srv::run_batch(in, out, config);
+
+  EXPECT_TRUE(report.interrupted);
+  const auto responses = parse_responses(out.str());
+  ASSERT_EQ(responses.size(), 3u);
+  // Line 0 was in flight (budget_exhausted) or still queued (rejected).
+  EXPECT_NE(field(responses[0], "status"), "ok");
+  for (std::size_t i = 1; i < 3; ++i) {
+    EXPECT_EQ(field(responses[i], "status"), "rejected") << "line " << i;
+    EXPECT_EQ(field(responses[i], "error"), "batch draining (interrupted)");
+  }
+}
+
+TEST(SrvEngine, GlobalBudgetAfterLastLineRejectsUnstarted) {
+  std::string output;
+  srv::BatchConfig config;
+  config.jobs = 1;
+  config.time_limit = 0.3;
+  const srv::BatchReport report = run(slow_requests(), &output, config);
+
+  EXPECT_EQ(report.rejected, 2u);
+  EXPECT_TRUE(report.interrupted);
+  const auto responses = parse_responses(output);
+  ASSERT_EQ(responses.size(), 3u);
+  EXPECT_EQ(field(responses[0], "status"), "budget_exhausted");
+  for (std::size_t i = 1; i < 3; ++i) {
+    EXPECT_EQ(field(responses[i], "status"), "rejected") << "line " << i;
+    EXPECT_EQ(field(responses[i], "error"), "global time limit exhausted");
+  }
 }
 
 TEST(SrvEngine, ParallelBatchIsCompleteAndSound) {

@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <csignal>
 #include <cstring>
 #include <fstream>
@@ -104,17 +103,23 @@ struct Args {
   }
 };
 
-/// --time-limit SEC -> a Deadline for the solver-facing commands. Absent
-/// flag means unlimited; zero is allowed (an already-expired deadline
+/// --time-limit SEC, for every command that takes one. Absent means
+/// unlimited (nullopt); zero is allowed (an already-expired budget
 /// exercises the degradation path and still exits 0).
+std::optional<double> time_limit_flag(const Args& args) {
+  if (!args.has("time-limit")) return std::nullopt;
+  const double seconds = args.get_double("time-limit", 0.0);
+  if (seconds < 0.0) {
+    throw UsageError("--time-limit must be >= 0 seconds");
+  }
+  return seconds;
+}
+
+/// --time-limit SEC -> a Deadline for the solver-facing commands.
 core::SolveOptions solve_options(const Args& args) {
   core::SolveOptions opts;
-  if (args.has("time-limit")) {
-    const double seconds = args.get_double("time-limit", 0.0);
-    if (seconds < 0.0) {
-      throw UsageError("--time-limit must be >= 0 seconds");
-    }
-    opts.deadline = core::Deadline::after(seconds);
+  if (const std::optional<double> seconds = time_limit_flag(args)) {
+    opts.deadline = core::Deadline::after(*seconds);
   }
   return opts;
 }
@@ -363,16 +368,10 @@ int cmd_solve(const Args& args) {
                            ? bounds::orientation_free_bound(inst)
                            : bounds::flow_window_bound(inst, opts);
   if (obs::enabled()) {
-    // Solution-quality telemetry in permille of the cheap demand/capacity
-    // bound, mirroring the batch engine's quality.* metrics so one-shot
-    // solves and batch solves are comparable (docs/observability.md).
-    const double tb = bounds::trivial_bound(inst);
-    const double gap =
-        tb > 0.0 ? std::clamp(1000.0 * (tb - served) / tb, 0.0, 1000.0) : 0.0;
-    obs::hdr_histogram("quality.gap_permille").observe(gap);
-    obs::counter("quality." + solver + ".solves").inc();
-    obs::counter("quality." + solver + ".gap_permille_sum")
-        .add(static_cast<std::uint64_t>(std::llround(gap)));
+    // The batch engine's quality.* telemetry, so one-shot solves and batch
+    // solves are comparable (docs/observability.md).
+    srv::QualityRecorder({srv::find_solver_family(solver), 1})
+        .record(inst, solver, served);
   }
   std::cerr << "solver=" << solver
             << " status=" << model::to_string(sol.status)
@@ -584,10 +583,53 @@ int cmd_info(const Args& args) {
   return 0;
 }
 
-/// SIGINT -> cooperative drain: the batch engine polls this flag, stops
-/// admission, cancels in-flight deadlines, and still writes one response
-/// per request. A lock-free atomic store is async-signal-safe.
+/// SIGINT -> cooperative drain: `batch` and `serve` poll this flag, cancel
+/// the solves in flight, and still write one response per line. A
+/// lock-free atomic store is async-signal-safe.
 std::atomic<bool> g_interrupt{false};
+
+/// The flags `batch` and `serve` share beyond --time-limit: SIGINT drains
+/// through g_interrupt, and --slo-window must be at least 1.
+template <typename Config>
+void jsonl_flags(const Args& args, Config& config) {
+  config.interrupt = &g_interrupt;
+  config.slo_window = args.get_size("slo-window", config.slo_window);
+  if (config.slo_window == 0) {
+    throw UsageError("--slo-window must be >= 1 requests");
+  }
+}
+
+/// Runs one JSONL front end: `run(in, out)` on `in_path` and `out_path`
+/// ("-" = stdin/stdout) with SIGINT routed to g_interrupt, then checks the
+/// output stream. Returns run's report.
+template <typename Run>
+auto run_jsonl(const std::string& in_path, const std::string& out_path,
+               Run run) {
+  std::ifstream fin;
+  std::istream* in = &std::cin;
+  if (in_path != "-") {
+    fin.open(in_path);
+    if (!fin) throw std::runtime_error("cannot open " + in_path);
+    in = &fin;
+  }
+  std::ofstream fout;
+  std::ostream* out = &std::cout;
+  if (out_path != "-") {
+    fout.open(out_path);
+    if (!fout) throw std::runtime_error("cannot open " + out_path);
+    out = &fout;
+  }
+
+  using SignalHandler = void (*)(int);
+  const SignalHandler previous = std::signal(
+      SIGINT, [](int) { g_interrupt.store(true, std::memory_order_relaxed); });
+  const auto report = run(*in, *out);
+  if (previous != SIG_ERR) std::signal(SIGINT, previous);
+
+  out->flush();
+  if (!*out) throw std::runtime_error("error writing " + out_path);
+  return report;
+}
 
 int cmd_batch(const Args& args) {
   require_known(args, {"in", "out", "jobs", "time-limit", "cache-entries",
@@ -596,20 +638,10 @@ int cmd_batch(const Args& args) {
                        "slo-window"});
   srv::BatchConfig config;
   config.jobs = static_cast<unsigned>(args.get_size("jobs", 0));
-  if (args.has("time-limit")) {
-    const double seconds = args.get_double("time-limit", 0.0);
-    if (seconds < 0.0) {
-      throw UsageError("--time-limit must be >= 0 seconds");
-    }
-    config.time_limit = seconds;
-  }
+  config.time_limit = time_limit_flag(args).value_or(config.time_limit);
   config.cache_entries = args.get_size("cache-entries", 128);
   config.queue_capacity = args.get_size("queue-capacity", 0);
-  config.interrupt = &g_interrupt;
-  config.slo_window = args.get_size("slo-window", config.slo_window);
-  if (config.slo_window == 0) {
-    throw UsageError("--slo-window must be >= 1 requests");
-  }
+  jsonl_flags(args, config);
 
   std::ofstream access_log;
   const std::string access_path = args.get("access-log", "");
@@ -623,31 +655,11 @@ int cmd_batch(const Args& args) {
   if (in_path.empty()) {
     throw UsageError("--in <requests.jsonl> is required ('-' for stdin)");
   }
-  const std::string out_path = args.get("out", "-");
-
-  std::ifstream fin;
-  std::istream* in = &std::cin;
-  if (in_path != "-") {
-    fin.open(in_path);
-    if (!fin) throw std::runtime_error("cannot open " + in_path);
-    in = &fin;
-  }
-  std::ofstream fout;
-  std::ostream* out = &std::cout;
-  if (out_path != "-") {
-    fout.open(out_path);
-    if (!fout) throw std::runtime_error("cannot open " + out_path);
-    out = &fout;
-  }
-
-  using SignalHandler = void (*)(int);
-  const SignalHandler previous = std::signal(
-      SIGINT, [](int) { g_interrupt.store(true, std::memory_order_relaxed); });
-  const srv::BatchReport report = srv::run_batch(*in, *out, config);
-  if (previous != SIG_ERR) std::signal(SIGINT, previous);
-
-  out->flush();
-  if (!*out) throw std::runtime_error("error writing " + out_path);
+  const srv::BatchReport report = run_jsonl(
+      in_path, args.get("out", "-"),
+      [&config](std::istream& in, std::ostream& out) {
+        return srv::run_batch(in, out, config);
+      });
   if (!access_path.empty()) {
     access_log.flush();
     if (!access_log) throw std::runtime_error("error writing " + access_path);
@@ -661,49 +673,18 @@ int cmd_serve(const Args& args) {
                        "trace-out", "metrics-out", "metrics-jsonl",
                        "metrics-interval", "slo-window"});
   srv::ServeConfig config;
-  if (args.has("time-limit")) {
-    const double seconds = args.get_double("time-limit", 0.0);
-    if (seconds < 0.0) {
-      throw UsageError("--time-limit must be >= 0 seconds");
-    }
-    config.time_limit = seconds;
-  }
+  config.time_limit = time_limit_flag(args).value_or(config.time_limit);
   config.max_sessions = args.get_size("max-sessions", config.max_sessions);
   if (config.max_sessions == 0) {
     throw UsageError("--max-sessions must be >= 1");
   }
-  config.interrupt = &g_interrupt;
-  config.slo_window = args.get_size("slo-window", config.slo_window);
-  if (config.slo_window == 0) {
-    throw UsageError("--slo-window must be >= 1 requests");
-  }
+  jsonl_flags(args, config);
 
-  const std::string in_path = args.get("in", "-");
-  const std::string out_path = args.get("out", "-");
-
-  std::ifstream fin;
-  std::istream* in = &std::cin;
-  if (in_path != "-") {
-    fin.open(in_path);
-    if (!fin) throw std::runtime_error("cannot open " + in_path);
-    in = &fin;
-  }
-  std::ofstream fout;
-  std::ostream* out = &std::cout;
-  if (out_path != "-") {
-    fout.open(out_path);
-    if (!fout) throw std::runtime_error("cannot open " + out_path);
-    out = &fout;
-  }
-
-  using SignalHandler = void (*)(int);
-  const SignalHandler previous = std::signal(
-      SIGINT, [](int) { g_interrupt.store(true, std::memory_order_relaxed); });
-  const srv::ServeReport report = srv::run_serve(*in, *out, config);
-  if (previous != SIG_ERR) std::signal(SIGINT, previous);
-
-  out->flush();
-  if (!*out) throw std::runtime_error("error writing " + out_path);
+  const srv::ServeReport report = run_jsonl(
+      args.get("in", "-"), args.get("out", "-"),
+      [&config](std::istream& in, std::ostream& out) {
+        return srv::run_serve(in, out, config);
+      });
   std::cerr << "serve " << report.to_string() << "\n";
   return 0;
 }
