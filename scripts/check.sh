@@ -51,10 +51,13 @@
 #   race       the portfolio-racing contract (docs/performance.md): a
 #              sanitized `solve --solver race` run must produce a verified,
 #              byte-identical-across-repeats solution with a
-#              race.winner.<family> counter in --stats json, and a
+#              race.winner.<family> counter in --stats json, a
 #              dominant-family duel must prove cancel-on-winner
-#              (race.cancelled >= 1 with status complete). Repeated under
-#              TSan by the --tsan battery.
+#              (race.cancelled >= 1 with status complete), and a race with
+#              a shard lane must verify with Phase B run
+#              (race.exchange_adoptions >= 1) and the shard lane fanned out
+#              inside it (shard.count >= 2): a nested parallel_for.
+#              Repeated under TSan by the --tsan battery.
 #   obs        the telemetry contract (docs/observability.md): a batch run
 #              under ASan+UBSan with --metrics-out / --metrics-jsonl /
 #              --metrics-interval 1 / --access-log / --stats json, long
@@ -223,6 +226,7 @@ run_sanitize() {
     > "$TMP/truncated_v2.inst"
   expect_rc 1 "$CLI" solve --in "$TMP/forged_count.inst"
   expect_rc 1 "$CLI" solve --in "$TMP/trailing.inst"
+  grep -q 'trailing.inst: trailing garbage' "$TMP/err"
   expect_rc 1 "$CLI" info  --in "$TMP/nan.inst"
   expect_rc 1 "$CLI" info  --in "$TMP/truncated_v2.inst"
   expect_rc 1 "$CLI" solve --in "$TMP/does_not_exist.inst"
@@ -649,9 +653,9 @@ run_huge() {
 
   # Shard solve: feasible, verifiable output at scale (the merge/repair
   # path is seam-dependent, so no byte comparison against plain greedy).
-  # Shard is the one CLI path that runs parallel_for on the global pool;
-  # with no time limit it is deterministic, so a second solve must
-  # reproduce the first byte for byte.
+  # Shard fans its sub-solves out with parallel_for; with no time limit it
+  # is deterministic, so a second solve must reproduce the first byte for
+  # byte.
   expect_rc 0 "$CLI" solve --in "$TMP/huge.inst" --solver shard \
     -o "$TMP/shard.sol"
   expect_rc 0 "$CLI" verify --in "$TMP/huge.inst" --solution "$TMP/shard.sol"
@@ -882,6 +886,10 @@ run_serve() {
 #      saturating arcband instance while annealing holds a huge iteration
 #      budget; the proof must cancel the running lane (race.cancelled >= 1)
 #      and the result must still be status complete at the upper bound.
+#   3. nested fan-out: a race with a shard lane on an instance greedy
+#      cannot prove optimal, so Phase B runs (race.exchange_adoptions >= 1)
+#      and the shard lane's parallel_for runs inside a Phase-B lane
+#      (shard.count >= 2); the solution must verify.
 run_race_corpus() {
   local CLI="$1/tools/sectorpack"
   local TMP
@@ -946,7 +954,28 @@ assert counters.get("race.winner.local-search", 0) == 1, counters
 assert counters.get("race.cancelled", 0) >= 1, \
     "winner's proof did not cancel the running lane: %r" % counters
 EOF
-  echo "race corpus OK: contested determinism + dominant cancel-on-winner"
+
+  # 3. Nested fan-out: spare capacity and narrow beams keep greedy below
+  # the bound, so Phase B starts a thread per lane and the shard lane
+  # fans its sub-solves out again from inside one of them.
+  expect_rc 0 "$CLI" generate --n 2000 --k 4 --seed 9 --rho-deg 25 \
+    --capacity-fraction 1.5 -o "$TMP/nested.inst"
+  expect_rc 0 "$CLI" solve --in "$TMP/nested.inst" --solver race \
+    --portfolio greedy,shard,local_search,annealing --iterations 50 \
+    -o "$TMP/nested.sol" --stats json
+  cp "$TMP/out" "$TMP/stats3.json"
+  expect_rc 0 "$CLI" verify --in "$TMP/nested.inst" \
+    --solution "$TMP/nested.sol"
+  python3 - "$TMP/stats3.json" <<'EOF'
+import json, sys
+counters = json.load(open(sys.argv[1]))["counters"]
+assert counters.get("race.exchange_adoptions", 0) >= 1, \
+    "Phase B did not run: %r" % counters
+assert counters.get("shard.count", 0) >= 2, \
+    "the shard lane did not fan out: %r" % counters
+EOF
+  echo "race corpus OK: contested determinism + dominant cancel-on-winner" \
+       "+ nested fan-out"
 }
 
 run_race() {

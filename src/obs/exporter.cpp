@@ -51,7 +51,7 @@ std::string to_prometheus(const Snapshot& snap) {
     os << "# TYPE " << n << " histogram\n";
     std::uint64_t cumulative = 0;
     for (const auto& [bucket, count] : h.buckets) {
-      const double upper = hdr_bucket_upper(bucket, h.sub_bits);
+      const double upper = hdr_bucket_upper(bucket);
       if (!std::isfinite(upper)) break;  // tail lands in +Inf below
       cumulative += count;
       prom_bucket_line(os, n, upper, cumulative);

@@ -28,44 +28,31 @@ void set_enabled(bool on) noexcept {
   g_enabled.store(on, std::memory_order_relaxed);
 }
 
-namespace {
-unsigned clamp_sub_bits(unsigned sub_bits) noexcept {
-  return std::clamp(sub_bits, 1u, kHdrMaxSubBits);
-}
-}  // namespace
-
-std::size_t hdr_bucket_count(unsigned sub_bits) noexcept {
-  return kHdrOctaves << clamp_sub_bits(sub_bits);
-}
-
-std::size_t hdr_bucket_index(double value, unsigned sub_bits) noexcept {
-  const unsigned bits = clamp_sub_bits(sub_bits);
+std::size_t hdr_bucket_index(double value) noexcept {
   const double lowest = std::ldexp(1.0, kHdrMinExp);
   if (!(value >= lowest)) return 0;  // also catches NaN, negatives, underflow
   const int e = std::ilogb(value);
-  if (e > kHdrMaxExp) return hdr_bucket_count(bits) - 1;
+  if (e > kHdrMaxExp) return kHdrBuckets - 1;
   // Mantissa fraction in [0, 1) selects the linear sub-bucket.
   const double frac = std::ldexp(value, -e) - 1.0;
-  const std::size_t sub_count = std::size_t{1} << bits;
+  const std::size_t sub_count = std::size_t{1} << kHdrSubBits;
   const auto sub = std::min(
       static_cast<std::size_t>(frac * static_cast<double>(sub_count)),
       sub_count - 1);
-  return (static_cast<std::size_t>(e - kHdrMinExp) << bits) | sub;
+  return (static_cast<std::size_t>(e - kHdrMinExp) << kHdrSubBits) | sub;
 }
 
-double hdr_bucket_lower(std::size_t bucket, unsigned sub_bits) noexcept {
-  const unsigned bits = clamp_sub_bits(sub_bits);
-  const std::size_t sub_count = std::size_t{1} << bits;
-  const int e = kHdrMinExp + static_cast<int>(bucket >> bits);
+double hdr_bucket_lower(std::size_t bucket) noexcept {
+  const std::size_t sub_count = std::size_t{1} << kHdrSubBits;
+  const int e = kHdrMinExp + static_cast<int>(bucket >> kHdrSubBits);
   const std::size_t sub = bucket & (sub_count - 1);
   return std::ldexp(
       1.0 + static_cast<double>(sub) / static_cast<double>(sub_count), e);
 }
 
-double hdr_bucket_upper(std::size_t bucket, unsigned sub_bits) noexcept {
-  const unsigned bits = clamp_sub_bits(sub_bits);
-  if (bucket + 1 >= hdr_bucket_count(bits)) return kInf;
-  return hdr_bucket_lower(bucket + 1, bits);
+double hdr_bucket_upper(std::size_t bucket) noexcept {
+  if (bucket + 1 >= kHdrBuckets) return kInf;
+  return hdr_bucket_lower(bucket + 1);
 }
 
 namespace detail {
@@ -74,7 +61,7 @@ namespace detail {
 // relaxed atomics let snapshot() read concurrently without tearing.
 struct Shard {
   struct HdrSlot {
-    std::array<std::atomic<std::uint64_t>, kHdrMaxBuckets> buckets{};
+    std::array<std::atomic<std::uint64_t>, kHdrBuckets> buckets{};
     std::atomic<std::uint64_t> count{0};
     std::atomic<double> sum{0.0};
     std::atomic<double> min{kInf};
@@ -107,9 +94,9 @@ struct State {
   std::vector<std::string> counter_names SP_GUARDED_BY(mu);  // slot -> name
   std::vector<std::string> gauge_names SP_GUARDED_BY(mu);
   std::vector<std::string> hdr_names SP_GUARDED_BY(mu);
-  std::vector<unsigned> hdr_sub_bits SP_GUARDED_BY(mu);  // || to hdr_names
-  std::vector<std::shared_ptr<Shard>> shards
-      SP_GUARDED_BY(mu);  // one per writer thread, kept
+  std::vector<std::unique_ptr<Shard>> shards
+      SP_GUARDED_BY(mu);  // one per live writer thread, plus idle ones
+  std::vector<Shard*> idle SP_GUARDED_BY(mu);  // shards of exited threads
   // Gauges are set rarely and need last-write-wins across threads, so they
   // live directly in the shared state rather than in shards.
   std::array<std::atomic<double>, kMaxGauges> gauges{};
@@ -135,45 +122,55 @@ std::size_t register_name(State& st, std::vector<std::string>& names,
   return names.size() - 1;
 }
 
-std::size_t register_hdr(State& st, std::string_view name,
-                         unsigned sub_bits) {
-  core::LockGuard lock(st.mu);
-  for (std::size_t i = 0; i < st.hdr_names.size(); ++i) {
-    if (st.hdr_names[i] != name) continue;
-    if (st.hdr_sub_bits[i] != sub_bits) {
-      throw std::invalid_argument(
-          "obs: hdr histogram '" + std::string(name) +
-          "' re-registered with a different precision");
-    }
-    return i;
-  }
-  if (st.hdr_names.size() >= kMaxHdrHistograms) {
-    throw std::length_error(
-        "obs: too many hdr histograms (limit " +
-        std::to_string(kMaxHdrHistograms) + ")");
-  }
-  st.hdr_names.emplace_back(name);
-  st.hdr_sub_bits.push_back(sub_bits);
-  return st.hdr_names.size() - 1;
-}
-
 // Thread-local cache of this thread's shard per registry. Keyed by the
 // registry's never-reused uid, so a stale entry for a destroyed registry can
-// never alias a new one; the shared_ptr keeps the shard memory valid even if
-// the registry is gone.
-Shard* local_shard(const std::shared_ptr<State>& state) {
-  thread_local std::vector<std::pair<std::uint64_t, std::shared_ptr<Shard>>>
-      cache;
-  for (const auto& [uid, shard] : cache) {
-    if (uid == state->uid) return shard.get();
+// never alias a new one. A shard is only dereferenced through a live handle,
+// which keeps its registry -- the shard's owner -- alive.
+//
+// Threads come and go (every fan-out starts its own), so a thread's exit
+// hands its shards back to their registries, and the next new writer adopts
+// one instead of allocating ~340 KB that would be kept forever. Snapshots
+// sum shards, so it does not matter which thread wrote a count, and the
+// registry mutex orders the old owner's writes before the new owner's.
+struct ShardCache {
+  struct Entry {
+    std::uint64_t uid = 0;
+    std::weak_ptr<State> state;
+    Shard* shard = nullptr;
+  };
+  std::vector<Entry> entries;
+
+  ShardCache() = default;
+  ShardCache(const ShardCache&) = delete;
+  ShardCache& operator=(const ShardCache&) = delete;
+  ~ShardCache() {
+    for (const Entry& e : entries) {
+      if (const std::shared_ptr<State> state = e.state.lock()) {
+        core::LockGuard lock(state->mu);
+        state->idle.push_back(e.shard);
+      }
+    }
   }
-  auto shard = std::make_shared<Shard>();
+};
+
+Shard* local_shard(const std::shared_ptr<State>& state) {
+  thread_local ShardCache cache;
+  for (const ShardCache::Entry& e : cache.entries) {
+    if (e.uid == state->uid) return e.shard;
+  }
+  Shard* shard = nullptr;
   {
     core::LockGuard lock(state->mu);
-    state->shards.push_back(shard);
+    if (state->idle.empty()) {
+      state->shards.push_back(std::make_unique<Shard>());
+      shard = state->shards.back().get();
+    } else {
+      shard = state->idle.back();
+      state->idle.pop_back();
+    }
   }
-  cache.emplace_back(state->uid, shard);
-  return cache.back().second.get();
+  cache.entries.push_back({state->uid, state, shard});
+  return shard;
 }
 
 }  // namespace
@@ -202,7 +199,7 @@ void HdrHistogram::observe(double value) const noexcept {
   // sp-sync: relaxed ops on single-writer shard slots; only the owning
   // thread writes, so load-modify-store without CAS is race-free, and
   // snapshot() accepts slightly-stale cross-thread reads.
-  h.buckets[hdr_bucket_index(value, sub_bits_)].fetch_add(
+  h.buckets[hdr_bucket_index(value)].fetch_add(
       1, std::memory_order_relaxed);
   h.count.fetch_add(1, std::memory_order_relaxed);
   h.sum.store(h.sum.load(std::memory_order_relaxed) + value,
@@ -238,11 +235,11 @@ Gauge Registry::gauge(std::string_view name) {
   return Gauge(state_, id);
 }
 
-HdrHistogram Registry::hdr_histogram(std::string_view name,
-                                     unsigned sub_bits) {
-  const unsigned bits = std::clamp(sub_bits, 1u, kHdrMaxSubBits);
-  const std::size_t id = detail::register_hdr(*state_, name, bits);
-  return HdrHistogram(state_, id, bits);
+HdrHistogram Registry::hdr_histogram(std::string_view name) {
+  const std::size_t id =
+      detail::register_name(*state_, state_->hdr_names, kMaxHdrHistograms,
+                            name, "hdr histogram");
+  return HdrHistogram(state_, id);
 }
 
 Snapshot Registry::snapshot() const {
@@ -273,11 +270,9 @@ Snapshot Registry::snapshot() const {
   for (std::size_t i = 0; i < state_->hdr_names.size(); ++i) {
     HdrHistogramSnapshot h;
     h.name = state_->hdr_names[i];
-    h.sub_bits = state_->hdr_sub_bits[i];
     h.min = kInf;
     h.max = -kInf;
-    const std::size_t buckets = hdr_bucket_count(h.sub_bits);
-    merged.assign(buckets, 0);
+    merged.assign(kHdrBuckets, 0);
     // sp-sync: as above (best-effort snapshot reads).
     for (const auto& shard : state_->shards) {
       const detail::Shard::HdrSlot& sh = shard->hdr[i];
@@ -285,7 +280,7 @@ Snapshot Registry::snapshot() const {
       h.sum += sh.sum.load(std::memory_order_relaxed);
       h.min = std::min(h.min, sh.min.load(std::memory_order_relaxed));
       h.max = std::max(h.max, sh.max.load(std::memory_order_relaxed));
-      for (std::size_t b = 0; b < buckets; ++b) {
+      for (std::size_t b = 0; b < kHdrBuckets; ++b) {
         merged[b] += sh.buckets[b].load(std::memory_order_relaxed);
       }
     }
@@ -293,7 +288,7 @@ Snapshot Registry::snapshot() const {
       h.min = 0.0;
       h.max = 0.0;
     }
-    for (std::size_t b = 0; b < buckets; ++b) {
+    for (std::size_t b = 0; b < kHdrBuckets; ++b) {
       if (merged[b] != 0) {
         h.buckets.emplace_back(static_cast<std::uint32_t>(b), merged[b]);
       }
@@ -331,8 +326,8 @@ Counter counter(std::string_view name) {
   return Registry::global().counter(name);
 }
 Gauge gauge(std::string_view name) { return Registry::global().gauge(name); }
-HdrHistogram hdr_histogram(std::string_view name, unsigned sub_bits) {
-  return Registry::global().hdr_histogram(name, sub_bits);
+HdrHistogram hdr_histogram(std::string_view name) {
+  return Registry::global().hdr_histogram(name);
 }
 Snapshot snapshot() { return Registry::global().snapshot(); }
 void reset() { Registry::global().reset(); }
@@ -356,8 +351,8 @@ double HdrHistogramSnapshot::quantile(double q) const noexcept {
       // Bucket 0 also holds everything below the range (including 0), so
       // its effective lower bound is the recorded min, not 2^kHdrMinExp.
       const double lo =
-          bucket == 0 ? min : std::max(hdr_bucket_lower(bucket, sub_bits), min);
-      const double hi = std::min(hdr_bucket_upper(bucket, sub_bits), max);
+          bucket == 0 ? min : std::max(hdr_bucket_lower(bucket), min);
+      const double hi = std::min(hdr_bucket_upper(bucket), max);
       if (hi <= lo) return lo;
       const double within =
           (target - static_cast<double>(seen)) / static_cast<double>(n);
@@ -450,12 +445,12 @@ std::string Snapshot::to_json() const {
        << ",\"p50\":" << json_number(h.quantile(0.5))
        << ",\"p95\":" << json_number(h.quantile(0.95))
        << ",\"p99\":" << json_number(h.quantile(0.99))
-       << ",\"precision_bits\":" << h.sub_bits << ",\"buckets\":[";
+       << ",\"precision_bits\":" << kHdrSubBits << ",\"buckets\":[";
     bool first = true;
     for (const auto& [bucket, n] : h.buckets) {
       if (!first) os << ",";
       first = false;
-      os << "[" << json_number(hdr_bucket_lower(bucket, h.sub_bits)) << ","
+      os << "[" << json_number(hdr_bucket_lower(bucket)) << ","
          << n << "]";
     }
     os << "]}";

@@ -5,8 +5,11 @@
 // Design:
 //  * Hot-path writes go to lock-free per-thread shards: each shard is only
 //    ever written by its owning thread (relaxed atomics so readers can merge
-//    concurrently), so `par::thread_pool` workers never contend on a cache
-//    line. Snapshots merge all shards under a mutex.
+//    concurrently), so threads running side by side (batch pumps, race
+//    lanes, shard sub-solves) never contend on a cache line. A thread's
+//    shard passes to the next new writer when it exits, so short-lived
+//    threads do not grow the registry. Snapshots merge all shards under a
+//    mutex.
 //  * Every write path is a no-op while obs is disabled (the default). The
 //    only residual cost in instrumented code is one relaxed atomic load and
 //    a well-predicted branch, which keeps solvers within the "zero overhead
@@ -40,9 +43,9 @@ inline constexpr std::size_t kMaxGauges = 64;
 
 // ---------------------------------------------------------------------------
 // Log-linear (HDR-style) histograms: each power-of-two octave is split into
-// 2^sub_bits equal-width sub-buckets, so every bucket's relative width is at
-// most 2^-sub_bits and quantile() answers with that relative error bound
-// (<= 0.79% at the default precision of 7 bits). The value range covers
+// 2^kHdrSubBits equal-width sub-buckets, so every bucket's relative width is
+// at most 2^-kHdrSubBits and quantile() answers with that relative error
+// bound (<= 0.79% at the fixed precision of 7 bits). The value range covers
 // octaves [2^kHdrMinExp, 2^(kHdrMaxExp+1)): in milliseconds that is ~1us up
 // to ~12 days. Values below the range (including 0, negatives, NaN) land in
 // bucket 0; values above clamp to the last bucket. Quantiles are clamped to
@@ -51,22 +54,15 @@ inline constexpr std::size_t kMaxGauges = 64;
 inline constexpr std::size_t kMaxHdrHistograms = 8;
 inline constexpr int kHdrMinExp = -10;
 inline constexpr int kHdrMaxExp = 30;
-inline constexpr unsigned kHdrMaxSubBits = 7;   // 128 sub-buckets per octave
-inline constexpr unsigned kHdrDefaultSubBits = kHdrMaxSubBits;
+inline constexpr unsigned kHdrSubBits = 7;  // 128 sub-buckets per octave
 inline constexpr std::size_t kHdrOctaves =
     static_cast<std::size_t>(kHdrMaxExp - kHdrMinExp + 1);
-inline constexpr std::size_t kHdrMaxBuckets = kHdrOctaves << kHdrMaxSubBits;
+inline constexpr std::size_t kHdrBuckets = kHdrOctaves << kHdrSubBits;
 
-/// Buckets used by a histogram of the given precision (sub_bits is clamped
-/// to [1, kHdrMaxSubBits], as at registration).
-[[nodiscard]] std::size_t hdr_bucket_count(unsigned sub_bits) noexcept;
-[[nodiscard]] std::size_t hdr_bucket_index(double value,
-                                           unsigned sub_bits) noexcept;
-[[nodiscard]] double hdr_bucket_lower(std::size_t bucket,
-                                      unsigned sub_bits) noexcept;
+[[nodiscard]] std::size_t hdr_bucket_index(double value) noexcept;
+[[nodiscard]] double hdr_bucket_lower(std::size_t bucket) noexcept;
 /// Exclusive upper bound; +infinity for the last bucket.
-[[nodiscard]] double hdr_bucket_upper(std::size_t bucket,
-                                      unsigned sub_bits) noexcept;
+[[nodiscard]] double hdr_bucket_upper(std::size_t bucket) noexcept;
 
 namespace detail {
 struct State;
@@ -74,7 +70,6 @@ struct State;
 
 struct HdrHistogramSnapshot {
   std::string name;
-  unsigned sub_bits = kHdrDefaultSubBits;
   std::uint64_t count = 0;
   double sum = 0.0;
   double min = 0.0;
@@ -84,7 +79,8 @@ struct HdrHistogramSnapshot {
 
   [[nodiscard]] double mean() const noexcept;
   /// Rank-interpolated quantile, q in [0, 1], clamped to the recorded
-  /// min/max. Relative error is bounded by the bucket width, 2^-sub_bits.
+  /// min/max. Relative error is bounded by the bucket width,
+  /// 2^-kHdrSubBits.
   [[nodiscard]] double quantile(double q) const noexcept;
 };
 
@@ -142,12 +138,10 @@ class HdrHistogram {
 
  private:
   friend class Registry;
-  HdrHistogram(std::shared_ptr<detail::State> state, std::size_t id,
-               unsigned sub_bits) noexcept
-      : state_(std::move(state)), id_(id), sub_bits_(sub_bits) {}
+  HdrHistogram(std::shared_ptr<detail::State> state, std::size_t id) noexcept
+      : state_(std::move(state)), id_(id) {}
   std::shared_ptr<detail::State> state_;
   std::size_t id_ = 0;
-  unsigned sub_bits_ = kHdrDefaultSubBits;
 };
 
 class Registry {
@@ -161,11 +155,7 @@ class Registry {
   /// return handles to the same slot.
   [[nodiscard]] Counter counter(std::string_view name);
   [[nodiscard]] Gauge gauge(std::string_view name);
-  /// sub_bits is clamped to [1, kHdrMaxSubBits]. Re-registering the same
-  /// name with a different precision throws std::invalid_argument: one
-  /// name must mean one distribution in the snapshot.
-  [[nodiscard]] HdrHistogram hdr_histogram(
-      std::string_view name, unsigned sub_bits = kHdrDefaultSubBits);
+  [[nodiscard]] HdrHistogram hdr_histogram(std::string_view name);
 
   /// Merge all shards into a point-in-time view. Safe to call while other
   /// threads keep writing (their in-flight writes may or may not be seen).
@@ -185,8 +175,7 @@ class Registry {
 /// Shorthands on the global registry.
 [[nodiscard]] Counter counter(std::string_view name);
 [[nodiscard]] Gauge gauge(std::string_view name);
-[[nodiscard]] HdrHistogram hdr_histogram(
-    std::string_view name, unsigned sub_bits = kHdrDefaultSubBits);
+[[nodiscard]] HdrHistogram hdr_histogram(std::string_view name);
 [[nodiscard]] Snapshot snapshot();
 void reset();
 

@@ -8,11 +8,8 @@
 // drain remaining items after close(); once the queue is both closed and
 // empty, pop() returns false and consumers exit.
 //
-// Contrast with ThreadPool's internal queue: it is unbounded and carries
-// opaque tasks for latency, while this queue carries values, enforces a
-// bound, and has explicit end-of-stream semantics. The two compose: the
-// srv engine pushes requests here and runs one pump task per ThreadPool
-// worker that pops until the stream ends.
+// The srv engine pushes requests here and runs `--jobs` pump threads that
+// each pop until the stream ends.
 
 #include <chrono>
 #include <cstddef>

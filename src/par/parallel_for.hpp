@@ -1,33 +1,30 @@
 #pragma once
-// A blocking data-parallel loop over an index range, built on ThreadPool.
+// A blocking fan-out over an index range: the only parallel primitive.
 //
-// parallel_for(n, grain, body): invokes body(begin, end) over a partition of
-// [0, n) into chunks of at least `grain` indices. Falls back to one inline
-// call when the pool has a single worker or the range is below the grain.
-// Exceptions thrown by bodies are captured and the first one is rethrown on
-// the calling thread after all chunks finish.
+// parallel_for(n, threads, body): calls body(i) exactly once for each i in
+// [0, n), on the calling thread plus min(n, threads) - 1 threads that the
+// call starts and joins itself (threads == 0 means thread_count(0)). One
+// atomic counter hands out the indices in ascending order. With n <= 1 or
+// one thread everything runs inline and no thread starts. Exceptions
+// thrown by bodies are captured, every index still runs, and the first
+// exception is rethrown on the calling thread after the join.
+//
+// There is no shared pool, so nothing ever waits on a worker someone else
+// holds: fan-outs nest (a race lane may shard), and every task -- a race
+// lane, a shard sub-solve -- starts promptly on a thread of its own.
 
 #include <cstddef>
 #include <functional>
 
-#include "src/par/thread_pool.hpp"
-
 namespace sectorpack::par {
 
-using RangeBody = std::function<void(std::size_t begin, std::size_t end)>;
+/// `requested`, or std::thread::hardware_concurrency() (at least 1) when it
+/// is 0.
+[[nodiscard]] unsigned thread_count(unsigned requested);
 
-/// Partition [0, n) into chunks of >= grain and run `body` on each, blocking
-/// until all complete. `pool` defaults to ThreadPool::global().
-void parallel_for(std::size_t n, std::size_t grain, const RangeBody& body,
-                  ThreadPool* pool = nullptr);
-
-/// Chunk layout used by parallel_for: chunk c covers
-/// [c * size, min((c+1) * size, n)).
-struct ChunkPlan {
-  std::size_t chunk_size = 0;
-  std::size_t num_chunks = 0;
-};
-[[nodiscard]] ChunkPlan plan_chunks(std::size_t n, std::size_t grain,
-                                    unsigned workers);
+/// Run body(0) .. body(n - 1) across at most thread_count(threads) threads,
+/// the caller included, blocking until all complete.
+void parallel_for(std::size_t n, unsigned threads,
+                  const std::function<void(std::size_t)>& body);
 
 }  // namespace sectorpack::par

@@ -12,7 +12,6 @@
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/par/parallel_for.hpp"
-#include "src/par/thread_pool.hpp"
 #include "src/srv/solvers.hpp"
 #include "src/verify/verify.hpp"
 
@@ -70,10 +69,34 @@ bool proves_optimal(const LaneOutcome& outcome, double bound) {
          outcome.value + kBoundEps >= bound;
 }
 
+/// The family `name` names, checked against the lanes accepted so far:
+/// 'race' cannot race itself, and names must be known and distinct.
+const srv::SolverFamily* lane_family(
+    const std::string& name,
+    const std::vector<const srv::SolverFamily*>& lanes) {
+  if (name == "race") {
+    throw std::invalid_argument("portfolio: 'race' cannot race itself");
+  }
+  const srv::SolverFamily* family = srv::find_solver_family(name);
+  if (family == nullptr) {
+    throw std::invalid_argument("portfolio: unknown solver family '" + name +
+                                "' (known: " + srv::solver_family_names(", ") +
+                                ")");
+  }
+  for (const srv::SolverFamily* seen : lanes) {
+    if (seen == family) {
+      throw std::invalid_argument("portfolio: duplicate family '" + name +
+                                  "'");
+    }
+  }
+  return family;
+}
+
 }  // namespace
 
 std::vector<std::string> parse_portfolio(const std::string& spec) {
   std::vector<std::string> portfolio;
+  std::vector<const srv::SolverFamily*> lanes;
   std::size_t begin = 0;
   while (begin <= spec.size()) {
     std::size_t end = spec.find(',', begin);
@@ -86,20 +109,7 @@ std::vector<std::string> parse_portfolio(const std::string& spec) {
       throw std::invalid_argument("portfolio: empty family name in '" + spec +
                                   "'");
     }
-    if (name == "race") {
-      throw std::invalid_argument("portfolio: 'race' cannot race itself");
-    }
-    if (srv::find_solver_family(name) == nullptr) {
-      throw std::invalid_argument("portfolio: unknown solver family '" + name +
-                                  "' (known: " + srv::solver_family_names(", ") +
-                                  ")");
-    }
-    for (const std::string& existing : portfolio) {
-      if (existing == name) {
-        throw std::invalid_argument("portfolio: duplicate family '" + name +
-                                    "'");
-      }
-    }
+    lanes.push_back(lane_family(name, lanes));
     portfolio.push_back(std::move(name));
     begin = end + 1;
   }
@@ -123,20 +133,7 @@ model::Solution solve(const model::Instance& inst, const RaceConfig& config,
   std::vector<const srv::SolverFamily*> lanes;
   lanes.reserve(config.portfolio.size());
   for (const std::string& name : config.portfolio) {
-    if (name == "race") {
-      throw std::invalid_argument("race: 'race' cannot race itself");
-    }
-    const srv::SolverFamily* family = srv::find_solver_family(name);
-    if (family == nullptr) {
-      throw std::invalid_argument("race: unknown solver family '" + name +
-                                  "'");
-    }
-    for (const srv::SolverFamily* seen : lanes) {
-      if (seen == family) {
-        throw std::invalid_argument("race: duplicate family '" + name + "'");
-      }
-    }
-    lanes.push_back(family);
+    lanes.push_back(lane_family(name, lanes));
   }
 
   RaceStats local_stats;
@@ -169,8 +166,8 @@ model::Solution solve(const model::Instance& inst, const RaceConfig& config,
   const core::SolveOptions lane_options{race_dl};
 
   Incumbent incumbent;
-  // Each lane writes only its own slot; the phase-B pool join is the
-  // barrier before the selection pass reads them all.
+  // Each lane writes only its own slot; the phase-B join is the barrier
+  // before the selection pass reads them all.
   std::vector<model::Solution> lane_solutions(lanes.size());
   std::atomic<std::uint64_t> publishes{0};
   std::atomic<std::uint64_t> adoptions{0};
@@ -180,11 +177,11 @@ model::Solution solve(const model::Instance& inst, const RaceConfig& config,
   std::atomic<std::uint64_t> cancelled_lanes{0};
 
   // Runs lane `i` to completion and scores its outcome; used inline for
-  // phase A and from pool threads for phase B (must not throw).
+  // phase A and from the phase-B fan-out.
   const auto run_lane = [&](std::size_t i, const model::Solution* seed) {
     // sp-sync: started/adoptions are pure event counters; nothing reads
-    // them for control flow until after the pool join below, which is the
-    // happens-before edge, so relaxed increments suffice.
+    // them for control flow until after the phase-B join below, which is
+    // the happens-before edge, so relaxed increments suffice.
     started.fetch_add(1, std::memory_order_relaxed);
     LaneOutcome& outcome = st.lanes[i];
     srv::SolverKey lane_key = key;
@@ -200,8 +197,8 @@ model::Solution solve(const model::Instance& inst, const RaceConfig& config,
       outcome.ran = true;
       outcome.status = sol.status;
       outcome.value = model::served_value(inst, sol);
-      // sp-sync: publishes is an event counter read only after the pool
-      // join (the happens-before edge); relaxed suffices.
+      // sp-sync: publishes is an event counter read only after the
+      // phase-B join (the happens-before edge); relaxed suffices.
       if (incumbent.publish(sol, outcome.value, lanes[i]->priority)) {
         publishes.fetch_add(1, std::memory_order_relaxed);
       }
@@ -248,26 +245,21 @@ model::Solution solve(const model::Instance& inst, const RaceConfig& config,
   model::Solution seed_solution;
   const bool have_seed = incumbent.snapshot(seed_solution);
 
-  // Phase B: the remaining lanes race on a dedicated pool. This host may
-  // be a single core -- the pool still makes every lane *start* promptly
-  // (OS preemption interleaves them), which cancel-on-winner then turns
-  // into real wall-time savings.
+  // Phase B: the remaining lanes race, each on a thread of its own (the
+  // caller runs one of them). This host may be a single core -- every lane
+  // still *starts* promptly (OS preemption interleaves them), which
+  // cancel-on-winner then turns into real wall-time savings.
   if (!winner_declared.load(std::memory_order_acquire)) {
     std::vector<std::size_t> remaining;
     for (std::size_t i = 0; i < lanes.size(); ++i) {
       if (i != greedy_lane) remaining.push_back(i);
     }
-    if (!remaining.empty()) {
-      par::ThreadPool pool(static_cast<unsigned>(remaining.size()));
-      par::parallel_for(
-          remaining.size(), /*grain=*/1,
-          [&](std::size_t begin, std::size_t end) {
-            for (std::size_t r = begin; r < end; ++r) {
-              run_lane(remaining[r], have_seed ? &seed_solution : nullptr);
-            }
-          },
-          &pool);
-    }
+    par::parallel_for(remaining.size(),
+                      static_cast<unsigned>(remaining.size()),
+                      [&](std::size_t r) {
+                        run_lane(remaining[r],
+                                 have_seed ? &seed_solution : nullptr);
+                      });
   } else {
     // Phase A already proved optimality: the other lanes are never
     // launched (cheaper than launch-then-cancel; they count as skipped,
@@ -298,7 +290,7 @@ model::Solution solve(const model::Instance& inst, const RaceConfig& config,
 
   st.winner = lanes[best]->name;
   st.proved_optimal = proves_optimal(st.lanes[best], bound);
-  // sp-sync: every lane finished before the pool join above, so these
+  // sp-sync: every lane finished before the phase-B join above, so these
   // relaxed loads see the final counter values; no concurrent writers.
   st.cancelled = cancelled_lanes.load(std::memory_order_relaxed);
   st.incumbent_publishes = publishes.load(std::memory_order_relaxed);

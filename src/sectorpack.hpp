@@ -34,7 +34,6 @@
 #include "src/obs/trace.hpp"
 #include "src/par/bounded_queue.hpp"
 #include "src/par/parallel_for.hpp"
-#include "src/par/thread_pool.hpp"
 #include "src/race/race.hpp"
 #include "src/sectors/annealing.hpp"
 #include "src/sectors/sectors.hpp"

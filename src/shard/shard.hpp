@@ -5,10 +5,10 @@
 // times A annular bands (band edges at customer-radius quantiles) -- and
 // the antennas are apportioned to shards proportionally to shard demand
 // (largest-remainder, deterministic). Each shard is an independent
-// sub-instance solved with the sectors greedy on the global thread pool
-// under a slice of the caller's deadline; the shard solutions compose into
-// a feasible global solution because shards are customer- and
-// antenna-disjoint.
+// sub-instance solved with the sectors greedy, concurrently through
+// par::parallel_for, under a slice of the caller's deadline; the shard
+// solutions compose into a feasible global solution because shards are
+// customer- and antenna-disjoint.
 //
 // Sharding is lossy exactly at the seams: a sector chosen inside wedge w
 // extends up to its width rho past the wedge's end, and customers there
@@ -21,7 +21,7 @@
 // measured quantity rather than an assumed-small one.
 //
 // Determinism: the partition depends only on the instance and config (never
-// on pool size -- parallelism changes wall time, not output), sub-solves
+// on thread count -- parallelism changes wall time, not output), sub-solves
 // are deterministic, and the merge/repair walk ascending indices. Running
 // with a deadline trades this for bounded latency, like every solver here.
 
@@ -48,8 +48,6 @@ struct ShardConfig {
   /// Per-shard packing oracle. Greedy by default: sharding targets the
   /// n >= 1e6 regime where exact per-window packings are not affordable.
   knapsack::Oracle oracle = knapsack::Oracle::greedy();
-  /// Solve shards concurrently on par::ThreadPool::global().
-  bool parallel = true;
   core::SolveOptions solve;
 };
 

@@ -10,7 +10,6 @@
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/par/parallel_for.hpp"
-#include "src/par/thread_pool.hpp"
 #include "src/sectors/sectors.hpp"
 #include "src/verify/verify.hpp"
 
@@ -171,8 +170,8 @@ model::Solution solve(const model::Instance& inst, const ShardConfig& config,
         {s, model::Instance(std::move(customers), std::move(antennas)), {}});
   }
 
-  // Deadline slices: shards run in waves of pool-size, so give each shard
-  // remaining/waves seconds capped by the global budget. Each slice is
+  // Deadline slices: shards run in waves of thread_count(0), so give each
+  // shard remaining/waves seconds capped by the global budget. Each slice is
   // registered as a child of the global deadline
   // (core::Deadline::after_at_most), so an external cancel -- drain,
   // SIGINT -- interrupts in-flight shard sub-solves immediately instead of
@@ -180,16 +179,14 @@ model::Solution solve(const model::Instance& inst, const ShardConfig& config,
   core::SolveOptions sub_opts = config.solve;
   double slice_seconds = -1.0;
   if (global.limited() && !subs.empty()) {
-    std::size_t lanes = 1;
-    if (config.parallel) {
-      lanes = std::max<std::size_t>(par::ThreadPool::global().size(), 1);
-    }
+    const std::size_t lanes = par::thread_count(0);
     const std::size_t waves = (subs.size() + lanes - 1) / lanes;
     slice_seconds =
         global.remaining_seconds() / static_cast<double>(waves);
   }
 
-  const auto solve_one = [&](Sub& sub) {
+  const auto solve_one = [&](std::size_t t) {
+    Sub& sub = subs[t];
     sectors::GreedyConfig gc;
     gc.oracle = config.oracle;
     gc.solve = sub_opts;
@@ -198,16 +195,7 @@ model::Solution solve(const model::Instance& inst, const ShardConfig& config,
     }
     sub.sol = sectors::solve_greedy(sub.inst, gc);
   };
-  if (config.parallel && subs.size() > 1) {
-    par::parallel_for(subs.size(), 1,
-                      [&](std::size_t b, std::size_t e) {
-                        for (std::size_t t = b; t < e; ++t) {
-                          solve_one(subs[t]);
-                        }
-                      });
-  } else {
-    for (Sub& sub : subs) solve_one(sub);
-  }
+  par::parallel_for(subs.size(), 0, solve_one);
 
   // Merge: shards are customer- and antenna-disjoint, so the union of
   // their (feasible) solutions is feasible for the full instance.

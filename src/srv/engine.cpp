@@ -8,7 +8,9 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "src/bench_util/timer.hpp"
 #include "src/core/sync.hpp"
@@ -18,7 +20,7 @@
 #include "src/obs/slo.hpp"
 #include "src/obs/trace.hpp"
 #include "src/par/bounded_queue.hpp"
-#include "src/par/thread_pool.hpp"
+#include "src/par/parallel_for.hpp"
 #include "src/race/race.hpp"
 #include "src/srv/cache.hpp"
 #include "src/srv/drain.hpp"
@@ -150,8 +152,8 @@ std::string BatchReport::to_string() const {
 
 namespace {
 
-/// Everything one run_batch call needs; workers hold a pointer into this,
-/// and its lifetime brackets the ThreadPool that runs them.
+/// Everything one run_batch call needs; the pumps hold a pointer into
+/// this, and its lifetime brackets the threads that run them.
 class Engine {
  public:
   Engine(std::ostream& out, const BatchConfig& config)
@@ -173,8 +175,7 @@ class Engine {
 
   BatchReport run(std::istream& in) {
     {
-      par::ThreadPool pool(config_.jobs);
-      const unsigned workers = pool.size();
+      const unsigned workers = par::thread_count(config_.jobs);
       const std::size_t capacity = config_.queue_capacity != 0
                                        ? config_.queue_capacity
                                        : std::size_t{4} * workers;
@@ -184,8 +185,9 @@ class Engine {
       // whole input.
       window_ = capacity + std::size_t{2} * workers + 16;
 
+      std::vector<std::jthread> pumps;
       for (unsigned w = 0; w < workers; ++w) {
-        pool.submit([this] { pump(); });
+        pumps.emplace_back([this] { pump(); });
       }
 
       std::string line;
@@ -211,8 +213,8 @@ class Engine {
       }
 
       queue_->close();
-      // ThreadPool's destructor drains and joins the pumps; after this
-      // block every admitted request has completed.
+      // The pumps drain the closed queue and leaving the block joins them;
+      // after it every admitted request has completed.
     }
     flush_ready();
     // Publish the rolling-window view into `slo.*` gauges so `--stats json`
@@ -283,7 +285,7 @@ class Engine {
       } catch (const std::exception& e) {
         // Defensive: process() handles per-request errors itself; anything
         // escaping is an engine bug surfaced as an invalid response rather
-        // than a dead worker (ThreadPool tasks must not throw).
+        // than a dead pump (an exception leaving a thread terminates).
         complete_unsolved(index, id, RequestStatus::kInvalid,
                           std::string("internal error: ") + e.what());
       }

@@ -2,8 +2,8 @@
 // Batch request engine: solve many instances in one process.
 //
 // `sectorpack batch` reads one JSON request per line, fans the requests out
-// over a bounded admission queue (par::BoundedQueue) into a dedicated
-// par::ThreadPool, and writes one JSON response per request, in input
+// over a bounded admission queue (par::BoundedQueue) to `--jobs` pump
+// threads of its own, and writes one JSON response per request, in input
 // order. The engine composes the existing machinery instead of growing new
 // solver paths: per-request budgets are core::Deadline (clamped under the
 // batch-wide budget via Deadline::after_at_most), solving goes through the

@@ -56,7 +56,7 @@ TEST(Shard, FeasibleAcrossShapes) {
   }
 }
 
-TEST(Shard, DeterministicAndParallelInvariant) {
+TEST(Shard, Deterministic) {
   const model::Instance inst = random_instance(11, 1200, 5);
   shard::ShardConfig config;
   config.annuli = 2;
@@ -64,11 +64,6 @@ TEST(Shard, DeterministicAndParallelInvariant) {
   const model::Solution b = shard::solve(inst, config);
   EXPECT_EQ(a.alpha, b.alpha);
   EXPECT_EQ(a.assign, b.assign);
-
-  config.parallel = false;
-  const model::Solution serial = shard::solve(inst, config);
-  EXPECT_EQ(a.alpha, serial.alpha);
-  EXPECT_EQ(a.assign, serial.assign);
 }
 
 // With a single wedge and a single band there is exactly one shard holding

@@ -1,7 +1,6 @@
 // Tests for the annotated sync layer (src/core/sync.hpp) and the
-// shutdown/teardown races of its two main consumers: BoundedQueue close()
-// racing concurrent push/pop, and ThreadPool destruction with
-// queued-but-unstarted work. The semantic tests pin down the wrapper
+// shutdown races of its main consumer: BoundedQueue close() racing
+// concurrent push/pop. The semantic tests pin down the wrapper
 // contracts (LockGuard scope, UniqueLock manual cycles, CondVar's
 // predicate-only untimed wait); the race tests are the ones that fail
 // under `scripts/check.sh --tsan` if the locking regresses.
@@ -15,7 +14,6 @@
 
 #include "src/core/sync.hpp"
 #include "src/par/bounded_queue.hpp"
-#include "src/par/thread_pool.hpp"
 
 using namespace sectorpack;
 
@@ -150,50 +148,4 @@ TEST(SyncBoundedQueueTest, TimedPushFailsFastAfterClose) {
   EXPECT_TRUE(queue.pop(out));  // the pre-close item still drains
   EXPECT_EQ(out, 1);
   EXPECT_FALSE(queue.pop(out));  // closed and empty: end of stream
-}
-
-TEST(SyncThreadPoolTest, DestructionDrainsQueuedWork) {
-  // The destructor's contract is drain-then-join: tasks still sitting in
-  // the queue when ~ThreadPool starts must all run, not be dropped. A
-  // sleeping head task on a 1-worker pool guarantees a real
-  // queued-but-unstarted backlog at destruction time.
-  std::atomic<int> ran{0};
-  {
-    par::ThreadPool pool(1);
-    pool.submit(
-        [] { std::this_thread::sleep_for(std::chrono::milliseconds(20)); });
-    for (int i = 0; i < 200; ++i) {
-      pool.submit([&] { ran.fetch_add(1, std::memory_order_relaxed); });
-    }
-  }
-  EXPECT_EQ(ran.load(), 200);
-}
-
-TEST(SyncThreadPoolTest, DestructionDrainsAcrossStealingWorkers) {
-  // Same contract with several workers tearing down while they still
-  // share a backlog (TSan checks the queue locking). The name predates the
-  // single queue; what it checks still holds.
-  std::atomic<int> ran{0};
-  {
-    par::ThreadPool pool(4);
-    for (int i = 0; i < 1000; ++i) {
-      pool.submit([&] { ran.fetch_add(1, std::memory_order_relaxed); });
-    }
-  }
-  EXPECT_EQ(ran.load(), 1000);
-}
-
-TEST(SyncThreadPoolTest, DestructionDrainsTasksSubmittedDuringTeardown) {
-  // A running task may submit a follow-up after ~ThreadPool has set its
-  // stop flag. The follow-up must still run: the worker that is busy when
-  // the destructor starts has to empty the queue before it exits.
-  std::atomic<bool> follow_up_ran{false};
-  {
-    par::ThreadPool pool(1);
-    pool.submit([&] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      pool.submit([&] { follow_up_ran.store(true); });
-    });
-  }
-  EXPECT_TRUE(follow_up_ran.load());
 }

@@ -238,10 +238,7 @@ model::Instance load_instance(const Args& args) {
   if (path.empty()) {
     throw std::runtime_error("--in <instance file> is required");
   }
-  if (path == "-") return model::read_instance(std::cin);
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  return model::read_instance(in);
+  return model::read_instance_file(path);
 }
 
 model::Solution load_solution(const std::string& path) {
