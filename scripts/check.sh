@@ -20,7 +20,8 @@
 #              re-verify their solutions via src/verify/ on every return.
 #   sanitize   the ASan+UBSan battery (or TSan with --tsan): full test
 #              suite plus the hostile-input corpus and the CLI exit-code
-#              table from docs/robustness.md.
+#              table from docs/robustness.md, over-bound size flags
+#              included.
 #   batch      the `sectorpack batch` corpus (docs/serving.md): a
 #              200-request mixed valid/malformed/deadline-expiring run at
 #              --jobs 8 under ASan+UBSan and again under TSan, asserting
@@ -41,11 +42,12 @@
 #   huge       the spatial-index contract at scale (docs/performance.md): a
 #              sanitized 10^5-customer instance solved with --spatial flat
 #              and --spatial index must produce byte-identical solution
-#              files and summary lines, `sectorpack bound` must order
-#              trivial >= orientation-free >= flow-window >= the greedy
-#              served value, and the shard solver's output must pass the
-#              named-invariant verifier and be byte-identical across two
-#              solves. No --time-limit anywhere: deadline stops are
+#              files and summary lines (and so must local search on a
+#              10^5-customer mixed annular fleet), `sectorpack bound`
+#              must order trivial >= orientation-free >= flow-window >=
+#              the greedy served value, and the shard solver's output must
+#              pass the named-invariant verifier and be byte-identical
+#              across two solves. No --time-limit anywhere: deadline stops are
 #              wall-clock nondeterministic and would break the byte
 #              comparisons.
 #   race       the portfolio-racing contract (docs/performance.md): a
@@ -251,6 +253,23 @@ run_sanitize() {
   grep -q 'duplicate option --out' "$TMP/err"
   expect_rc 2 "$CLI" generate --n 5 --n 6
   grep -q 'duplicate option --n' "$TMP/err"
+
+  # Size flags are parsed into their target type against a named bound, so
+  # an absurd value is a usage error before any thread starts or any ring
+  # is allocated: --jobs once wrapped to 0, --slo-window threw bad_alloc,
+  # and --queue-capacity wrapped the batch engine's reorder window.
+  : > "$TMP/empty.jsonl"
+  expect_rc 2 "$CLI" batch --in "$TMP/empty.jsonl" --jobs 4294967296
+  grep -q -- '--jobs must be at most' "$TMP/err"
+  expect_rc 2 "$CLI" batch --in "$TMP/empty.jsonl" \
+    --slo-window 100000000000000
+  grep -q -- '--slo-window must be at most' "$TMP/err"
+  expect_rc 2 "$CLI" serve --in "$TMP/empty.jsonl" \
+    --slo-window 100000000000000
+  grep -q -- '--slo-window must be at most' "$TMP/err"
+  expect_rc 2 "$CLI" batch --in "$TMP/empty.jsonl" \
+    --queue-capacity 18446744073709551615
+  grep -q -- '--queue-capacity must be at most' "$TMP/err"
 
   # A deadline hit is NOT an error: exit 0, status surfaced, feasible output.
   expect_rc 0 "$CLI" solve --in "$TMP/ok.inst" --solver local-search \
@@ -650,6 +669,45 @@ run_huge() {
     exit 1
   fi
   echo "huge bounds: $(cat "$TMP/chain")"
+
+  # A mixed fleet at the same scale: `generate` makes identical antennas,
+  # for which the round loop only ever evaluates the lowest unused one, so
+  # the per-antenna verdict reuse needs distinct specs to run at all. Six
+  # thin annular antennas, two pairs overlapping and two alone, over 10^5
+  # value-weighted customers; local search must agree byte for byte
+  # across spatial modes and verify.
+  python3 - "$TMP/mixed.inst" <<'PYEOF'
+import math
+import random
+import sys
+
+rng = random.Random(20261018)
+n = 100000
+lines = ["sectorpack-instance v2", "customers %d" % n]
+for _ in range(n):
+    r = 60.0 * math.sqrt(rng.random())
+    t = rng.uniform(0.0, 2.0 * math.pi)
+    lines.append("%.17g %.17g %d %d" % (r * math.cos(t), r * math.sin(t),
+                                        rng.randint(1, 10), rng.randint(1, 9)))
+# rho range capacity min_range: [10,13] and [12,15] overlap, as do
+# [30,33] and [31,34]; [20,23] and [45,48] stand alone.
+fleet = [(0.7, 13, 60, 10), (0.9, 15, 80, 12), (0.8, 23, 70, 20),
+         (0.6, 33, 90, 30), (1.0, 34, 50, 31), (0.75, 48, 110, 45)]
+lines.append("antennas %d" % len(fleet))
+lines += ["%.17g %g %g %g" % a for a in fleet]
+open(sys.argv[1], "w").write("\n".join(lines) + "\n")
+PYEOF
+  expect_rc 0 "$CLI" solve --in "$TMP/mixed.inst" --solver local-search \
+    --spatial flat -o "$TMP/mixed_flat.sol"
+  expect_rc 0 "$CLI" solve --in "$TMP/mixed.inst" --solver local-search \
+    --spatial index -o "$TMP/mixed_index.sol"
+  if ! cmp -s "$TMP/mixed_flat.sol" "$TMP/mixed_index.sol"; then
+    echo "FAIL: mixed fleet: --spatial flat and --spatial index differ" >&2
+    diff "$TMP/mixed_flat.sol" "$TMP/mixed_index.sol" | head -20 >&2
+    exit 1
+  fi
+  expect_rc 0 "$CLI" verify --in "$TMP/mixed.inst" \
+    --solution "$TMP/mixed_flat.sol"
 
   # Shard solve: feasible, verifiable output at scale (the merge/repair
   # path is seam-dependent, so no byte comparison against plain greedy).

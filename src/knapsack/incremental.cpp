@@ -15,7 +15,6 @@ std::uint64_t fingerprint_mix(std::uint64_t id) noexcept {
 }
 
 bool OracleCache::lookup(std::uint64_t key, Entry* out) const {
-  const core::LockGuard lock(mu_);
   const auto it = map_.find(key);
   if (it == map_.end()) return false;
   *out = it->second;
@@ -23,13 +22,11 @@ bool OracleCache::lookup(std::uint64_t key, Entry* out) const {
 }
 
 void OracleCache::store(std::uint64_t key, Entry entry) {
-  const core::LockGuard lock(mu_);
   if (map_.size() >= kMaxEntries) return;  // full: stop memoizing, stay correct
   map_.emplace(key, std::move(entry));
 }
 
 std::size_t OracleCache::size() const {
-  const core::LockGuard lock(mu_);
   return map_.size();
 }
 

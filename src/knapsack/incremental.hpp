@@ -26,12 +26,10 @@
 // free across greedy rounds and local-search passes.
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
-#include "src/core/sync.hpp"
 #include "src/knapsack/knapsack.hpp"
 
 namespace sectorpack::knapsack {
@@ -41,7 +39,9 @@ namespace sectorpack::knapsack {
 /// are order-independent and exactly reversible under remove().
 [[nodiscard]] std::uint64_t fingerprint_mix(std::uint64_t id) noexcept;
 
-/// Thread-safe memo of solved windows, keyed by member-set fingerprint.
+/// Memo of solved windows, keyed by member-set fingerprint. Not
+/// synchronized: each solve owns its caches and a serve session stays on
+/// the serve thread, so no cache is shared across threads.
 /// Entries store chosen items as the caller's *stable ids*, so hits are
 /// valid across calls whose local item numbering differs (e.g. successive
 /// greedy rounds filtering the unserved set). A hit returns exactly what
@@ -66,8 +66,7 @@ class OracleCache {
   static constexpr std::size_t kMaxEntries = std::size_t{1} << 20;
 
  private:
-  mutable core::Mutex mu_;
-  std::unordered_map<std::uint64_t, Entry> map_ SP_GUARDED_BY(mu_);
+  std::unordered_map<std::uint64_t, Entry> map_;
 };
 
 /// Per-scan tallies of how windows were disposed of; merged into the obs

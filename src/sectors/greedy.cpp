@@ -7,16 +7,40 @@
 
 namespace sectorpack::sectors {
 
+const single::WindowChoice& Verdicts::keep(std::size_t j,
+                                           single::WindowChoice choice) {
+  clean_[j] = choice.complete ? 1 : 0;
+  verdict_[j] = std::move(choice);
+  return verdict_[j];
+}
+
+void Verdicts::mark(const model::Instance& inst, std::size_t mover,
+                    std::span<const std::size_t> moved) {
+  for (std::size_t j = 0; j < clean_.size(); ++j) {
+    if (j == mover || clean_[j] == 0) continue;
+    for (const std::size_t i : moved) {
+      if (inst.in_range(i, j)) {
+        clean_[j] = 0;
+        break;
+      }
+    }
+  }
+}
+
 model::Solution greedy_rounds(const model::Instance& inst,
                               const core::Deadline& deadline,
                               const GreedyEval& evaluate,
-                              const GreedyCommit& committed) {
+                              const GreedyCommit& committed,
+                              Verdicts* verdicts) {
   const std::size_t n = inst.num_customers();
   const std::size_t k = inst.num_antennas();
 
   model::Solution sol = model::Solution::empty_for(inst);
   std::vector<bool> served(n, false);
   std::vector<bool> used(k, false);
+  Verdicts own;
+  Verdicts& table = verdicts != nullptr ? *verdicts : own;
+  table = Verdicts(k);
 
   // When all antennas are identical, every unused antenna sees the same
   // sweep each round; only the lowest-index one is evaluated.
@@ -27,24 +51,30 @@ model::Solution greedy_rounds(const model::Instance& inst,
     // incumbent only on strictly greater value, and a verdict worth nothing
     // never commits.
     std::size_t best_j = k;
-    single::WindowChoice best;
+    double best_value = 0.0;
     for (std::size_t j = 0; j < k; ++j) {
       if (used[j]) continue;
-      single::WindowChoice pick = evaluate(j, served);
-      if (pick.value > best.value) {
-        best = std::move(pick);
+      const single::WindowChoice& pick =
+          table.clean(j) ? table.verdict(j)
+                         : table.keep(j, evaluate(j, served));
+      if (pick.value > best_value) {
+        best_value = pick.value;
         best_j = j;
       }
       if (identical) break;
     }
 
     if (best_j < k) {
+      const single::WindowChoice& best = table.verdict(best_j);
       used[best_j] = true;
       sol.alpha[best_j] = best.alpha;
       for (const std::size_t i : best.chosen) {
         served[i] = true;
         sol.assign[i] = static_cast<std::int32_t>(best_j);
       }
+      // The committed customers leave every other antenna's free set, used
+      // antennas included, so the table stays valid for local search.
+      table.mark(inst, best_j, best.chosen);
       if (committed) committed(best_j, best);
     }
     // Deadline check per greedy round: the committed prefix of rounds is a
@@ -94,7 +124,7 @@ single::WindowChoice sweep_unserved(const model::Instance& inst,
 }
 
 model::Solution solve_greedy(const model::Instance& inst,
-                             const GreedyConfig& config) {
+                             const GreedyConfig& config, Verdicts* verdicts) {
   // Window memo, per antenna, surviving across rounds: away from the window
   // committed last round the unserved set -- and hence most windows' member
   // fingerprints -- is unchanged, so later rounds mostly replay cached
@@ -108,7 +138,8 @@ model::Solution solve_greedy(const model::Instance& inst,
       [&](std::size_t j, const std::vector<bool>& served) {
         return sweep_unserved(inst, j, served, config,
                               &caches[identical ? 0 : j]);
-      });
+      },
+      nullptr, verdicts);
   if (sol.status == model::SolveStatus::kBudgetExhausted) {
     core::note_expired("sectors_greedy");
   }

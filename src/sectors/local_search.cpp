@@ -1,6 +1,8 @@
 #include <algorithm>
+#include <iterator>
 
 #include "src/assign/assign.hpp"
+#include "src/core/contract.hpp"
 #include "src/knapsack/incremental.hpp"
 #include "src/model/validate.hpp"
 #include "src/obs/metrics.hpp"
@@ -12,7 +14,7 @@
 namespace sectorpack::sectors {
 
 model::Solution improve(const model::Instance& inst, model::Solution start,
-                        const LocalSearchConfig& config) {
+                        const LocalSearchConfig& config, Verdicts* verdicts) {
   static const obs::Counter c_passes = obs::counter("local_search.passes");
   static const obs::Counter c_tried =
       obs::counter("local_search.moves_tried");
@@ -23,18 +25,29 @@ model::Solution improve(const model::Instance& inst, model::Solution start,
   const std::size_t n = inst.num_customers();
   const std::size_t k = inst.num_antennas();
   model::Solution sol = std::move(start);
+  Verdicts own(k);
+  Verdicts& table = verdicts != nullptr ? *verdicts : own;
+  SP_REQUIRE(table.size() == k);
 
-  std::vector<double> thetas;
-  std::vector<double> values;
-  std::vector<double> demands;
-  std::vector<std::size_t> index;
-  std::vector<std::size_t> in_band;
+  // Each antenna's customers, ascending, and who is served at all: a move
+  // touches only the mover's list, and summing it in this order keeps
+  // `current` what the scan over every customer summed.
+  std::vector<std::vector<std::size_t>> members(k);
+  std::vector<bool> served(n, false);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (sol.assign[i] == model::kUnserved) continue;
+    served[i] = true;
+    const auto a = static_cast<std::size_t>(sol.assign[i]);
+    if (a < k) members[a].push_back(i);
+  }
+  std::vector<std::size_t> moved;
 
   // Window memo per antenna, surviving across passes: antenna j's candidate
   // pool (unserved plus its own customers) only changes when some antenna's
   // assignment changed nearby, so most windows replay from cache after the
   // first pass. Keyed by member fingerprints over instance indices.
   std::vector<knapsack::OracleCache> caches(k);
+  const GreedyConfig sweep_config{config.oracle, config.solve};
 
   // Deadline check per antenna move (finer than per pass: one move is one
   // window sweep, the unit of work here). The solution between moves is
@@ -55,49 +68,40 @@ model::Solution improve(const model::Instance& inst, model::Solution start,
       c_tried.inc();
       // Objective value antenna j currently contributes.
       double current = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (sol.assign[i] == static_cast<std::int32_t>(j)) {
-          current += inst.value(i);
-        }
-      }
+      for (const std::size_t i : members[j]) current += inst.value(i);
 
-      // Re-solve antenna j's window over unserved customers plus its own.
-      // Radial candidates from the crossover helper (ascending instance
-      // order, identical to the old flat scan), then the assignment filter.
-      inst.in_range_customers(j, in_band);
-      thetas.clear();
-      values.clear();
-      demands.clear();
-      index.clear();
-      for (std::size_t i : in_band) {
-        const bool free_for_j =
-            sol.assign[i] == model::kUnserved ||
-            sol.assign[i] == static_cast<std::int32_t>(j);
-        if (free_for_j) {
-          thetas.push_back(inst.theta(i));
-          values.push_back(inst.value(i));
-          demands.push_back(inst.demand(i));
-          index.push_back(i);
-        }
+      // Re-solve antenna j's window over unserved customers plus its own,
+      // unless its verdict is still clean. sweep_unserved skips what
+      // `served` marks, so j's own customers are unmarked for the sweep.
+      if (!table.clean(j)) {
+        for (const std::size_t i : members[j]) served[i] = false;
+        table.keep(j, sweep_unserved(inst, j, served, sweep_config,
+                                     &caches[j]));
+        for (const std::size_t i : members[j]) served[i] = true;
       }
-      const single::WindowChoice choice = single::best_window_weighted(
-          thetas, values, demands, inst.antenna(j).rho,
-          inst.antenna(j).capacity, config.oracle, &caches[j], index,
-          deadline);
+      const single::WindowChoice& choice = table.verdict(j);
       if (!choice.complete) expired = true;
       // A truncated sweep's incumbent is still a valid (possibly weaker)
       // re-orientation; applying it when improving keeps monotonicity.
       if (choice.value > current + 1e-12) {
         c_improving.inc();
-        for (std::size_t i = 0; i < n; ++i) {
-          if (sol.assign[i] == static_cast<std::int32_t>(j)) {
-            sol.assign[i] = model::kUnserved;
-          }
+        moved.clear();
+        std::set_symmetric_difference(members[j].begin(), members[j].end(),
+                                      choice.chosen.begin(),
+                                      choice.chosen.end(),
+                                      std::back_inserter(moved));
+        for (const std::size_t i : members[j]) {
+          sol.assign[i] = model::kUnserved;
+          served[i] = false;
         }
         sol.alpha[j] = choice.alpha;
-        for (std::size_t local : choice.chosen) {
-          sol.assign[index[local]] = static_cast<std::int32_t>(j);
+        for (const std::size_t i : choice.chosen) {
+          sol.assign[i] = static_cast<std::int32_t>(j);
+          served[i] = true;
         }
+        members[j] = choice.chosen;
+        // Antenna j's free set is unchanged, so its verdict stays clean.
+        table.mark(inst, j, moved);
         improved_any = true;
       }
     }
@@ -137,7 +141,9 @@ model::Solution solve_local_search(const model::Instance& inst,
   GreedyConfig gc;
   gc.oracle = config.oracle;
   gc.solve = config.solve;
-  return improve(inst, solve_greedy(inst, gc), config);
+  Verdicts verdicts;
+  model::Solution start = solve_greedy(inst, gc, &verdicts);
+  return improve(inst, std::move(start), config, &verdicts);
 }
 
 }  // namespace sectorpack::sectors

@@ -17,11 +17,18 @@
 // over everything unserved, keep if better) followed by a global
 // reassignment; the result never degrades.
 //
+// Both re-evaluate lazily, as in Minoux's accelerated greedy (1978) but
+// with exact dirty tracking instead of bounds: an antenna's window verdict
+// depends only on its spec and its free in-band customers, so a Verdicts
+// table replays it until one of those customers changes hands. The output
+// bytes are those of sweeping every antenna every time.
+//
 // solve_exact enumerates candidate orientation tuples (leading edges at
 // customer angles -- lossless by the candidate-orientation lemma, applied
 // per antenna since each customer is served by at most one antenna) with
 // exact assignment per tuple. Exponential; reference for small instances.
 
+#include <cstdint>
 #include <functional>
 #include <span>
 #include <vector>
@@ -44,8 +51,39 @@ struct GreedyConfig {
   core::SolveOptions solve;
 };
 
+/// Each antenna's last window verdict, and whether it is still clean: what
+/// a fresh sweep would return. A verdict is a pure function of the
+/// antenna's spec and its free in-band customers (the unserved ones plus
+/// its own), so it stays clean until one of those customers changes hands.
+/// A truncated verdict (complete == false) is never clean. `chosen` holds
+/// instance indices, so a table lives for one solve of one instance.
+class Verdicts {
+ public:
+  explicit Verdicts(std::size_t k = 0) : verdict_(k), clean_(k, 0) {}
+
+  [[nodiscard]] std::size_t size() const noexcept { return verdict_.size(); }
+  [[nodiscard]] bool clean(std::size_t j) const { return clean_[j] != 0; }
+  [[nodiscard]] const single::WindowChoice& verdict(std::size_t j) const {
+    return verdict_[j];
+  }
+  /// Stores antenna j's fresh verdict, clean when complete; returns it.
+  const single::WindowChoice& keep(std::size_t j, single::WindowChoice choice);
+  /// The customers `moved` changed hands to or from antenna `mover`: every
+  /// other antenna with one of them in its radial band loses its clean bit.
+  /// The mover's own free set did not change.
+  void mark(const model::Instance& inst, std::size_t mover,
+            std::span<const std::size_t> moved);
+
+ private:
+  std::vector<single::WindowChoice> verdict_;
+  std::vector<std::uint8_t> clean_;
+};
+
+/// `verdicts`, when given, is refilled by the round loop and left valid for
+/// the final solution: solve_local_search hands it to improve.
 [[nodiscard]] model::Solution solve_greedy(const model::Instance& inst,
-                                           const GreedyConfig& config = {});
+                                           const GreedyConfig& config = {},
+                                           Verdicts* verdicts = nullptr);
 
 /// Antenna j's verdict for one round, over the customers not yet `served`,
 /// with `chosen` holding instance indices.
@@ -58,15 +96,20 @@ using GreedyCommit =
 /// The greedy round loop: solve_greedy is this loop with sweep_unserved as
 /// `evaluate`, and the serve session's memo replay (src/srv/session.cpp)
 /// drives it with a memo-then-sweep hook, so the two cannot drift. Each of
-/// at most k rounds evaluates every unused antenna (only the lowest unused
+/// at most k rounds considers every unused antenna (only the lowest unused
 /// one when all antennas are identical), commits the first maximum of
-/// positive value and reports it to `committed`. The loop stops when no
-/// antenna gains anything, or -- status kBudgetExhausted -- when `deadline`
-/// has expired after a round's commit. It neither records the expiry nor
-/// checks the result; callers do.
+/// positive value and reports it to `committed`. An antenna is evaluated
+/// only when it has no clean verdict: in its first round, after a commit
+/// took a customer from its band, or after a truncated verdict. The loop
+/// stops when no antenna gains anything, or -- status kBudgetExhausted --
+/// when `deadline` has expired after a round's commit. It neither records
+/// the expiry nor checks the result; callers do. `verdicts`, when given, is
+/// refilled (one slot per antenna) and left valid for the returned
+/// solution, committed antennas included.
 [[nodiscard]] model::Solution greedy_rounds(
     const model::Instance& inst, const core::Deadline& deadline,
-    const GreedyEval& evaluate, const GreedyCommit& committed = nullptr);
+    const GreedyEval& evaluate, const GreedyCommit& committed = nullptr,
+    Verdicts* verdicts = nullptr);
 
 /// One (antenna, round) evaluation: antenna j's in-range customers not yet
 /// `served`, swept by single::best_window_weighted with config.oracle under
@@ -83,15 +126,21 @@ struct LocalSearchConfig {
   core::SolveOptions solve;
 };
 
-/// Greedy start + local search + global reassignment.
+/// Greedy start + local search + global reassignment. The greedy's
+/// verdicts seed the first pass, so it sweeps only the antennas whose band
+/// a later commit touched.
 [[nodiscard]] model::Solution solve_local_search(
     const model::Instance& inst, const LocalSearchConfig& config = {});
 
 /// Improve a given feasible solution; the returned solution serves at least
-/// as much demand as `start`.
+/// as much demand as `start`. Each pass tries every antenna in order, but
+/// sweeps only those without a clean verdict; the others replay it.
+/// `verdicts`, when given, must be valid for `start` (greedy_rounds leaves
+/// it so); otherwise the first pass sweeps every antenna.
 [[nodiscard]] model::Solution improve(const model::Instance& inst,
                                       model::Solution start,
-                                      const LocalSearchConfig& config = {});
+                                      const LocalSearchConfig& config = {},
+                                      Verdicts* verdicts = nullptr);
 
 /// Exact solver. Throws std::invalid_argument when the candidate tuple
 /// space exceeds `tuple_limit` and std::runtime_error on assignment node

@@ -66,9 +66,7 @@ std::size_t Session::index_of_sid(std::size_t sid) const {
 
 void Session::ensure_antenna_slots() {
   const std::size_t k = inst_.num_antennas();
-  while (caches_.size() < k) {
-    caches_.push_back(std::make_unique<knapsack::OracleCache>());
-  }
+  if (caches_.size() < k) caches_.resize(k);
   if (memo_.size() < k) memo_.resize(k);
 }
 
@@ -211,7 +209,7 @@ ResolveStats Session::replay_greedy(const core::SolveOptions& opts) {
     // across deltas.
     ++stats.fresh_evals;
     single::WindowChoice pick = sectors::sweep_unserved(
-        inst_, j, served, config, caches_[slot].get(), sid_);
+        inst_, j, served, config, &caches_[slot], sid_);
     // Never memoize a deadline-truncated sweep: its verdict depends on
     // where the clock ran out, not on the member set alone.
     if (pick.complete && memo.size() < kMemoMaxEntries) {

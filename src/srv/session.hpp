@@ -23,13 +23,19 @@
 //     radial band -- an order-independent fingerprint of the in-band set,
 //     updated in O(k) per delta;
 //   * the replay drives sectors::greedy_rounds, the round loop behind
-//     sectors::solve_greedy, with a memo-then-sweep hook: each (antenna,
-//     round) evaluation is keyed by the current unserved-in-band
-//     fingerprint. A memo hit replays the stored window verdict (value,
-//     alpha, chosen sids); only fingerprints the delta actually dirtied pay
-//     a real window sweep (sectors::sweep_unserved) -- and those sweeps run
-//     against the per-session knapsack::OracleCache, so even a dirty
-//     antenna mostly replays cached window packings.
+//     sectors::solve_greedy, with a memo-then-sweep hook. Within one
+//     replay the loop itself reuses an antenna's verdict until a commit
+//     takes a customer from its band (sectors::Verdicts), so the hook is
+//     asked only for an antenna's first round and for rounds after such a
+//     commit. Each evaluation it is asked for is keyed by the current
+//     unserved-in-band fingerprint. A memo hit replays the stored window
+//     verdict (value, alpha, chosen sids); only fingerprints the delta
+//     actually dirtied pay a real window sweep (sectors::sweep_unserved) --
+//     and those sweeps run against the per-session knapsack::OracleCache,
+//     so even a dirty antenna mostly replays cached window packings. The
+//     loop's verdict table holds instance indices, which a delta shifts, so
+//     it lives for one replay; the memo is what carries verdicts across
+//     deltas.
 //
 // Equality of fingerprints implies (up to the same 64-bit collision
 // exposure the OracleCache already accepts, and backstopped by the
@@ -69,10 +75,12 @@
 
 namespace sectorpack::srv {
 
-/// How a session answered one register/delta.
+/// How a session answered one register/delta. The counts cover only the
+/// (antenna, round) evaluations the round loop asks for: a round that
+/// replays a clean verdict from earlier in the same replay asks for none.
 struct ResolveStats {
   bool incremental = false;    // greedy replay (vs full run_solver dispatch)
-  std::size_t evals = 0;       // (antenna, round) evaluations considered
+  std::size_t evals = 0;       // evaluations the round loop asked for
   std::size_t memo_hits = 0;   // served from the window-fingerprint memo
   std::size_t fresh_evals = 0; // dirty: paid a real window sweep
   /// fresh_evals / evals -- the dirty-window ratio (0 when nothing was
@@ -148,14 +156,11 @@ class Session {
   std::size_t next_sid_ = 0;
   std::vector<std::uint64_t> band_fp_;  // antenna -> sum of in-band terms
 
-  // Per-antenna window caches, one heap slot per antenna. The session owns
-  // each OracleCache exclusively (IncrementalOracle only borrows a raw
-  // pointer for the duration of one resolve), and the unique_ptr
-  // indirection keeps the immovable cache (it holds a core::Mutex) at a
-  // stable address while the vector itself grows on antenna_add. Greedy
-  // shares slot 0 across identical antennas; the replay mirrors that
-  // indexing (identical ? 0 : j).
-  std::vector<std::unique_ptr<knapsack::OracleCache>> caches_;
+  // Per-antenna window caches. IncrementalOracle borrows a slot's address
+  // for one sweep only, and the vector grows only on antenna_add, between
+  // resolves. Greedy shares slot 0 across identical antennas; the replay
+  // mirrors that indexing (identical ? 0 : j).
+  std::vector<knapsack::OracleCache> caches_;
   std::vector<std::unordered_map<std::uint64_t, MemoPick>> memo_;
 };
 

@@ -43,6 +43,12 @@ Rules (see docs/static-analysis.md for the full table):
   unannotated-guard a core::Mutex declaration in a src/ file with no
                     SP_GUARDED_BY anywhere in that file: a capability
                     nothing is annotated against guards nothing.
+  narrowing-size-cast
+                    a cast of a get_size(...) result to a narrower
+                    integer type (static_cast, C-style or functional):
+                    a large flag value wraps instead of failing. Parse
+                    into the target type against a named bound with
+                    Args::get_bounded<T>.
 
 Waivers: a violating line is excused by an inline comment on the same line
 or the line directly above:
@@ -100,6 +106,8 @@ RULES = {
                                   "adjacent // sp-sync: rationale",
     "unannotated-guard": "core::Mutex in a file with no SP_GUARDED_BY "
                          "uses",
+    "narrowing-size-cast": "narrowing cast of a get_size result; parse "
+                           "with a bound via get_bounded<T>",
     "bad-waiver": "malformed sp-lint waiver (unknown rule or missing "
                   "reason)",
 }
@@ -246,6 +254,17 @@ CORE_MUTEX_DECL_RE = re.compile(
     r"(?:^|[\s(])(?:mutable\s+)?(?:sectorpack\s*::\s*)?core\s*::\s*Mutex\s+"
     r"(\w+)\s*;")
 GUARD_ANNOTATION_RE = re.compile(r"\bSP_GUARDED_BY\s*\(")
+# A get_size(...) call, optionally through an object (`args.get_size(`,
+# `a->get_size(`), right after a cast opens.
+_GET_SIZE_CALL = r"\s*(?:\w+\s*(?:\.|->)\s*)*get_size\s*\("
+_NARROW_INT = (r"(?:unsigned(?:\s+(?:int|long(?:\s+long)?|short|char))?"
+               r"|int|long(?:\s+long)?|short|char"
+               r"|(?:std\s*::\s*)?u?int(?:8|16|32|64)_t)")
+SIZE_CAST_RE = re.compile(
+    r"static_cast\s*<\s*([^<>;]+?)\s*>\s*\(" + _GET_SIZE_CALL
+    + r"|\(\s*(" + _NARROW_INT + r")\s*\)" + _GET_SIZE_CALL
+    + r"|(?<![\w:])(" + _NARROW_INT + r")\s*\(" + _GET_SIZE_CALL)
+SIZE_TYPES = ("std::size_t", "size_t")
 
 
 def call_arg_count(stripped, open_paren):
@@ -387,6 +406,17 @@ def lint_text(rel, raw):
                        "core::Mutex '%s' declared but no SP_GUARDED_BY "
                        "in this file; annotate what it protects"
                        % m.group(1))
+
+    # narrowing-size-cast: everywhere. A cast to std::size_t is a no-op;
+    # any other target type can drop the high bits of a flag value.
+    for m in SIZE_CAST_RE.finditer(stripped):
+        target = re.sub(r"\s+", "", m.group(1)) if m.group(1) else None
+        if target in SIZE_TYPES:
+            continue
+        report("narrowing-size-cast", m.start(),
+               "cast of a get_size result to '%s' wraps large values; "
+               "use get_bounded<T>(key, fallback, max)"
+               % (target or (m.group(2) or m.group(3)).strip()))
 
     # cpp-include: everywhere. Matched against comment-stripped text that
     # KEEPS string literals -- the include path is one.

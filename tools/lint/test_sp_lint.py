@@ -136,6 +136,53 @@ class UntrustedCountTest(unittest.TestCase):
         self.assertEqual(rules("bench/x.cpp", "std::stoi(argv[1]);"), set())
 
 
+class NarrowingSizeCastTest(unittest.TestCase):
+    def test_static_cast_to_unsigned_fires(self):
+        self.assertEqual(
+            violations("tools/cli.cpp",
+                       "c.jobs = static_cast<unsigned>("
+                       "args.get_size(\"jobs\", 0));"),
+            [("narrowing-size-cast", 1)])
+
+    def test_fixed_width_and_pointer_forms_fire(self):
+        self.assertIn("narrowing-size-cast",
+                      rules("src/foo/x.cpp",
+                            "auto n = static_cast<std::uint32_t>("
+                            "a->get_size(k, 1));"))
+
+    def test_c_style_cast_fires(self):
+        self.assertIn("narrowing-size-cast",
+                      rules("tools/cli.cpp",
+                            "int w = (int)args.get_size(\"w\", 1);"))
+
+    def test_functional_cast_fires(self):
+        self.assertIn("narrowing-size-cast",
+                      rules("tools/cli.cpp",
+                            "auto w = unsigned(args.get_size(\"w\", 1));"))
+
+    def test_size_t_cast_ok(self):
+        self.assertEqual(
+            rules("tools/cli.cpp",
+                  "auto n = static_cast<std::size_t>(args.get_size(k, 1));"),
+            set())
+
+    def test_plain_and_bounded_reads_ok(self):
+        self.assertEqual(
+            rules("tools/cli.cpp",
+                  "std::size_t n = args.get_size(\"n\", 1);\n"
+                  "c.jobs = args.get_bounded(\"jobs\", 0U, kMaxJobs);\n"
+                  "return static_cast<T>(value);\n"
+                  "if (x) args.get_size(\"n\", 1);"),
+            set())
+
+    def test_waiver_works(self):
+        self.assertEqual(
+            rules("tools/cli.cpp",
+                  "// sp-lint: allow(narrowing-size-cast) bounded above\n"
+                  "auto w = static_cast<int>(args.get_size(\"w\", 1));"),
+            set())
+
+
 class CppIncludeTest(unittest.TestCase):
     def test_fires_everywhere(self):
         for rel in ("src/a/b.cpp", "tests/t.cpp", "bench/b.cpp"):

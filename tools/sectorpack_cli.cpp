@@ -98,6 +98,18 @@ struct Args {
     const auto it = named.find(key);
     return it == named.end() ? fallback : parse_size_flag(key, it->second);
   }
+  /// A size flag parsed into its target type: above `max` is a UsageError,
+  /// raised before anything is sized or started from the value.
+  template <typename T>
+  [[nodiscard]] T get_bounded(const std::string& key, T fallback,
+                              T max) const {
+    const std::size_t value = get_size(key, fallback);
+    if (value > max) {
+      throw UsageError("--" + key + " must be at most " +
+                       std::to_string(max) + ", got '" + get(key, "") + "'");
+    }
+    return static_cast<T>(value);
+  }
   [[nodiscard]] bool has(const std::string& key) const {
     return named.count(key) > 0;
   }
@@ -585,12 +597,22 @@ int cmd_info(const Args& args) {
 /// lock-free atomic store is async-signal-safe.
 std::atomic<bool> g_interrupt{false};
 
+/// Upper bounds on the size flags of `batch` and `serve` (docs/serving.md).
+/// Each is far above any useful setting and far below what wraps or
+/// exhausts memory: --jobs starts that many pump threads, --slo-window
+/// allocates a 16-byte ring slot per request up front, and the batch
+/// engine adds --queue-capacity to its reorder window.
+constexpr unsigned kMaxJobs = 256;
+constexpr std::size_t kMaxSloWindow = std::size_t{1} << 20;
+constexpr std::size_t kMaxQueueCapacity = std::size_t{1} << 20;
+
 /// The flags `batch` and `serve` share beyond --time-limit: SIGINT drains
 /// through g_interrupt, and --slo-window must be at least 1.
 template <typename Config>
 void jsonl_flags(const Args& args, Config& config) {
   config.interrupt = &g_interrupt;
-  config.slo_window = args.get_size("slo-window", config.slo_window);
+  config.slo_window =
+      args.get_bounded("slo-window", config.slo_window, kMaxSloWindow);
   if (config.slo_window == 0) {
     throw UsageError("--slo-window must be >= 1 requests");
   }
@@ -634,10 +656,11 @@ int cmd_batch(const Args& args) {
                        "metrics-jsonl", "metrics-interval", "access-log",
                        "slo-window"});
   srv::BatchConfig config;
-  config.jobs = static_cast<unsigned>(args.get_size("jobs", 0));
+  config.jobs = args.get_bounded("jobs", 0U, kMaxJobs);
   config.time_limit = time_limit_flag(args).value_or(config.time_limit);
   config.cache_entries = args.get_size("cache-entries", 128);
-  config.queue_capacity = args.get_size("queue-capacity", 0);
+  config.queue_capacity =
+      args.get_bounded("queue-capacity", std::size_t{0}, kMaxQueueCapacity);
   jsonl_flags(args, config);
 
   std::ofstream access_log;
