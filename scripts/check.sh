@@ -24,13 +24,17 @@
 #              included.
 #   batch      the `sectorpack batch` corpus (docs/serving.md): a
 #              200-request mixed valid/malformed/deadline-expiring run at
-#              --jobs 8 under ASan+UBSan and again under TSan, asserting
-#              one response per request, exact per-status counts,
-#              miss/solve byte-identity, verified cache hits, and cache
-#              metrics in --stats json; then the SIGINT drain gate under
-#              ASan+UBSan (three slow requests at --jobs 1, SIGINT after
-#              1 s: exit 0 within 5 s, the solve in flight cancelled, the
-#              two queued requests rejected).
+#              --jobs 8 under ASan+UBSan and again under TSan, over three
+#              instances and a reordered copy of each (customers shuffled,
+#              antennas reversed), asserting one response per request,
+#              exact per-status counts, miss/solve byte-identity, verified
+#              cache hits, and cache metrics in --stats json; the corpus
+#              runs again at --jobs 8 and once with --cache-entries 0, and
+#              every ok solution must be identical across the three runs;
+#              then the SIGINT drain gate under ASan+UBSan (three slow
+#              requests at --jobs 1, SIGINT after 1 s: exit 0 within 5 s,
+#              the solve in flight cancelled, the two queued requests
+#              rejected).
 #   serve      the `sectorpack serve` session contract (docs/serving.md):
 #              one register plus 50 mixed deltas (add/remove/demand/
 #              antenna) under ASan+UBSan; every response's incremental
@@ -257,7 +261,13 @@ run_sanitize() {
   # Size flags are parsed into their target type against a named bound, so
   # an absurd value is a usage error before any thread starts or any ring
   # is allocated: --jobs once wrapped to 0, --slo-window threw bad_alloc,
-  # and --queue-capacity wrapped the batch engine's reorder window.
+  # --queue-capacity wrapped the batch engine's reorder window, and
+  # generate reserved --n customers up front and could write a file the
+  # reader's count cap (model::kMaxIoCount) rejects.
+  expect_rc 2 "$CLI" generate --n 100000001
+  grep -q -- '--n must be at most 100000000' "$TMP/err"
+  expect_rc 2 "$CLI" generate --k 100000001
+  grep -q -- '--k must be at most 100000000' "$TMP/err"
   : > "$TMP/empty.jsonl"
   expect_rc 2 "$CLI" batch --in "$TMP/empty.jsonl" --jobs 4294967296
   grep -q -- '--jobs must be at most' "$TMP/err"
@@ -344,13 +354,34 @@ run_batch_corpus() {
   expect_rc 0 "$CLI" generate --n 30 --k 4 --seed 13 --spatial ring \
     -o "$TMP/b3.inst"
 
+  # b4-b6 are b1-b3 with the customers shuffled and the antennas reversed:
+  # the same entities in another order, so a different input with an
+  # answer of its own, which the cache must not serve from the original.
+  python3 - "$TMP" <<'EOF'
+import random, sys
+tmp = sys.argv[1]
+for b in (1, 2, 3):
+    lines = open("%s/b%d.inst" % (tmp, b)).read().splitlines()
+    assert lines[0] == "sectorpack-instance v1", lines[0]
+    n = int(lines[1].split()[1])
+    customers = lines[2:2 + n]
+    k = int(lines[2 + n].split()[1])
+    antennas = lines[3 + n:3 + n + k]
+    random.Random(b).shuffle(customers)
+    body = lines[:2] + customers + [lines[2 + n]] + antennas[::-1]
+    open("%s/b%d.inst" % (tmp, b + 3), "w").write("\n".join(body) + "\n")
+EOF
+
   python3 - "$TMP" "$count" <<'EOF'
 import json, sys
 tmp, count = sys.argv[1], int(sys.argv[2])
 solvers = ["greedy", "local-search", "uniform", "annealing"]
 lines = []
 for i in range(count):
-    inst = "%s/b%d.inst" % (tmp, i % 3 + 1)
+    # Line i asks for the reordered copy when i % 7 < 3. The period 7 is
+    # prime to the solver and seed cycles, so each copy also runs under a
+    # solver and seed its original runs under.
+    inst = "%s/b%d.inst" % (tmp, i % 3 + 1 + (3 if i % 7 < 3 else 0))
     if i % 20 == 7:  # 10 malformed requests, several flavors
         bad = ['{"solver":"greedy"}',                       # no instance
                'not json at all',
@@ -376,10 +407,18 @@ EOF
                 srv.queue.depth srv.requests.ok; do
     grep -q "$metric" "$TMP/out"
   done
+  # The same corpus again at the same --jobs, where which request reaches
+  # the cache first is another race, and once with the cache off.
+  expect_rc 0 "$CLI" batch --in "$TMP/requests.jsonl" \
+    --out "$TMP/responses_again.jsonl" --jobs "$jobs" --cache-entries 64
+  expect_rc 0 "$CLI" batch --in "$TMP/requests.jsonl" \
+    --out "$TMP/responses_uncached.jsonl" --jobs "$jobs" --cache-entries 0
 
   python3 - "$TMP" "$CLI" "$count" <<'EOF'
 import json, subprocess, sys
 tmp, cli, count = sys.argv[1], sys.argv[2], int(sys.argv[3])
+def file_of(i):  # replays the generator: b4-b6 reorder b1-b3
+    return i % 3 + 1 + (3 if i % 7 < 3 else 0)
 responses = [json.loads(l) for l in open("%s/responses.jsonl" % tmp)]
 assert len(responses) == count, \
     "expected %d responses, got %d" % (count, len(responses))
@@ -403,7 +442,7 @@ for r in by_status["ok"]:
         continue
     checked.add(r["solver"])
     i = int(r["id"][1:])
-    inst = "%s/b%d.inst" % (tmp, i % 3 + 1)
+    inst = "%s/b%d.inst" % (tmp, file_of(i))
     single = subprocess.run(
         [cli, "solve", "--in", inst, "--solver", r["solver"],
          "--seed", str(i % 5 + 1), "--iterations", "200", "-o", "-"],
@@ -417,7 +456,7 @@ for r in by_status["ok"]:
     if r["cache"] != "hit" or verified >= 5:
         continue
     i = int(r["id"][1:])
-    inst = "%s/b%d.inst" % (tmp, i % 3 + 1)
+    inst = "%s/b%d.inst" % (tmp, file_of(i))
     open("%s/hit.sol" % tmp, "w").write(r["solution"])
     subprocess.run([cli, "verify", "--in", inst,
                     "--solution", "%s/hit.sol" % tmp],
@@ -428,8 +467,29 @@ assert verified > 0, "no cache hits found"
 # Degraded requests carry the status in their solution payload.
 for r in by_status["budget_exhausted"]:
     assert "status budget_exhausted" in r["solution"], r["id"]
+
+# A reordered copy is a different input: it never shares a cache key with
+# its original, though both run under the same solvers and seeds.
+keys = {}
+for r in by_status["ok"]:
+    keys.setdefault(file_of(int(r["id"][1:])), set()).add(r["fingerprint"])
+for b in (1, 2, 3):
+    assert not keys[b] & keys[b + 3], \
+        "b%d and its reordered copy share a cache key" % b
+
+# No answer depends on the cache or on timing: every ok response is the
+# same in the second run and in the cache-off run, hit or miss.
+for name in ("responses_again", "responses_uncached"):
+    other = [json.loads(l) for l in open("%s/%s.jsonl" % (tmp, name))]
+    assert [r["status"] for r in other] == \
+        [r["status"] for r in responses], "%s: statuses differ" % name
+    for r, o in zip(responses, other):
+        if r["status"] == "ok":
+            assert r["solution"] == o["solution"], \
+                "%s: solution of %s differs" % (name, r["id"])
 print("batch corpus OK: %d responses, %d miss-identity checks, "
-      "%d hit verifications" % (count, len(checked), verified))
+      "%d hit verifications, ok solutions identical in a second run and "
+      "with the cache off" % (count, len(checked), verified))
 EOF
 }
 

@@ -11,11 +11,6 @@ namespace sectorpack::model {
 
 namespace {
 
-// Counts above this are rejected outright: no real instance comes close,
-// and anything larger is a forged header trying to drive reserve() into
-// std::length_error / std::bad_alloc instead of a clean parse error.
-constexpr long long kMaxIoCount = 100'000'000;
-
 // reserve() is further capped by stream plausibility: a count that is
 // legal but larger than the remaining stream could possibly hold (every
 // entity costs at least ~2 bytes of line) must not allocate gigabytes
@@ -59,7 +54,7 @@ std::size_t parse_count(const std::string& line, const std::string& keyword) {
     throw std::runtime_error("expected '" + keyword + " <count>' line, got '" +
                              line + "'");
   }
-  if (count > kMaxIoCount) {
+  if (static_cast<std::size_t>(count) > kMaxIoCount) {
     throw std::runtime_error("implausible " + keyword + " count in '" + line +
                              "' (max " + std::to_string(kMaxIoCount) + ")");
   }

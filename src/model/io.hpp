@@ -25,12 +25,20 @@
 // tokens are a parse error, not silently ignored. All malformed input
 // raises std::runtime_error naming the offending line.
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 
 #include "src/model/solution.hpp"
 
 namespace sectorpack::model {
+
+/// Largest customer or antenna count the readers accept. No real instance
+/// comes close; a larger header is a forgery trying to drive reserve()
+/// into std::length_error / std::bad_alloc instead of a clean parse error.
+/// `sectorpack generate` bounds --n and --k by it too, so it never writes
+/// a file the reader rejects.
+inline constexpr std::size_t kMaxIoCount = 100'000'000;
 
 void write_instance(std::ostream& os, const Instance& inst);
 [[nodiscard]] Instance read_instance(std::istream& is);

@@ -25,18 +25,18 @@ std::optional<model::Solution> ResultCache::lookup(const Fingerprint& fp) {
   return it->second->second;
 }
 
-void ResultCache::insert(const Fingerprint& fp, model::Solution canonical) {
+void ResultCache::insert(const Fingerprint& fp, model::Solution sol) {
   if (max_entries_ == 0) return;
   const core::LockGuard lock(mu_);
   const auto it = map_.find(fp);
   if (it != map_.end()) {
-    // Refresh: same fingerprint means the same problem, so the payload is
-    // equivalent; keep the newer one and bump recency.
-    it->second->second = std::move(canonical);
+    // Refresh: same fingerprint means the same input, so the payload is
+    // the same solution; keep the newer one and bump recency.
+    it->second->second = std::move(sol);
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  lru_.emplace_front(fp, std::move(canonical));
+  lru_.emplace_front(fp, std::move(sol));
   map_.emplace(fp, lru_.begin());
   if (map_.size() > max_entries_) {
     map_.erase(lru_.back().first);

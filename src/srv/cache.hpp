@@ -1,15 +1,17 @@
 #pragma once
-// Thread-safe LRU cache of canonical solve results, keyed by instance
-// fingerprint (src/srv/fingerprint.hpp).
+// Thread-safe LRU cache of solve results, keyed by instance fingerprint
+// (src/srv/fingerprint.hpp).
 //
 // Policy decisions, in one place:
 //  * Only *complete* solutions are cached. A budget-exhausted incumbent is
 //    an artifact of one request's deadline; serving it to a later request
 //    with a larger (or no) budget would silently degrade that request.
-//  * Entries store the solution in canonical entity order; the engine
-//    projects hits back into the requesting instance's index space and
-//    verifies them (verify::verify_solution), so a permuted-instance hit
-//    can never smuggle an infeasible assignment into a response.
+//  * Entries store the solution exactly as solved, in the index space of
+//    the instance it was solved for; the fingerprint covers the entities
+//    in file order, so a hit is served unchanged. The engine verifies
+//    every hit (verify::verify_solution) against the requesting instance,
+//    so a fingerprint collision can never smuggle an infeasible
+//    assignment into a response.
 //  * Hits, misses, and evictions feed the obs counters srv.cache.hit /
 //    srv.cache.miss / srv.cache.evicted, and srv.cache.entries gauges the
 //    current size, so `--stats json` exposes cache effectiveness.
@@ -38,13 +40,13 @@ class ResultCache {
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  /// Look up a canonical solution; bumps the entry to most-recently-used
-  /// and the hit/miss counters either way.
+  /// Look up a solution; bumps the entry to most-recently-used and the
+  /// hit/miss counters either way.
   [[nodiscard]] std::optional<model::Solution> lookup(const Fingerprint& fp);
 
   /// Insert (or refresh) an entry, evicting the least-recently-used entry
-  /// when full. Call with canonical-order solutions only.
-  void insert(const Fingerprint& fp, model::Solution canonical);
+  /// when full.
+  void insert(const Fingerprint& fp, model::Solution sol);
 
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::size_t max_entries() const noexcept {

@@ -326,27 +326,22 @@ class Engine {
       return;
     }
 
-    const CanonicalInstance canon = canonicalize(inst, req.solver);
+    const Fingerprint fp = canonicalize(inst, req.solver).fingerprint;
 
-    if (config_.cache_entries > 0) {
-      if (std::optional<model::Solution> cached =
-              cache_.lookup(canon.fingerprint)) {
-        // Shape guard against a fingerprint collision, then the full
-        // invariant check against *this* request's instance: a projected
-        // hit must stand on its own, exactly like a fresh solve.
-        if (cached->alpha.size() == inst.num_antennas() &&
-            cached->assign.size() == inst.num_customers()) {
-          model::Solution sol = from_canonical(canon, *cached);
-          if (verify::verify_solution(inst, sol).ok) {
-            verify::debug_postcondition(inst, sol, "srv::batch(cache-hit)");
-            complete_solved(req, inst, canon, std::move(sol),
-                            /*cache_hit=*/true, timer.elapsed_ms(), queue_us);
-            return;
-          }
-        }
-        // Collision or projection mismatch: never serve it; solve fresh.
-        c_cache_mismatch_.inc();
+    if (std::optional<model::Solution> cached = cache_.lookup(fp)) {
+      // Shape guard against a fingerprint collision, then the full
+      // invariant check against *this* request's instance: a hit must
+      // stand on its own, exactly like a fresh solve.
+      if (cached->alpha.size() == inst.num_antennas() &&
+          cached->assign.size() == inst.num_customers() &&
+          verify::verify_solution(inst, *cached).ok) {
+        verify::debug_postcondition(inst, *cached, "srv::batch(cache-hit)");
+        complete_solved(req, inst, fp, std::move(*cached),
+                        /*cache_hit=*/true, timer.elapsed_ms(), queue_us);
+        return;
       }
+      // Collision: never serve it; solve fresh.
+      c_cache_mismatch_.inc();
     }
 
     // The request's budget, clamped under the global one; a drain cancels
@@ -365,18 +360,15 @@ class Engine {
     }
 
     verify::debug_postcondition(inst, sol, "srv::batch(fresh)");
-    if (config_.cache_entries > 0 &&
-        sol.status == model::SolveStatus::kComplete) {
-      cache_.insert(canon.fingerprint, to_canonical(canon, sol));
-    }
-    complete_solved(req, inst, canon, std::move(sol), /*cache_hit=*/false,
+    if (sol.status == model::SolveStatus::kComplete) cache_.insert(fp, sol);
+    complete_solved(req, inst, fp, std::move(sol), /*cache_hit=*/false,
                     timer.elapsed_ms(), queue_us);
   }
 
   // --------------------------------------------------------------- responses
 
   void complete_solved(const Request& req, const model::Instance& inst,
-                       const CanonicalInstance& canon, model::Solution sol,
+                       const Fingerprint& fp, model::Solution sol,
                        bool cache_hit, double elapsed_ms, double queue_us) {
     const RequestStatus status =
         sol.status == model::SolveStatus::kComplete
@@ -389,7 +381,7 @@ class Engine {
     os << ",\"status\":\"" << to_string(status) << "\""
        << ",\"solver\":\"" << obs::json_escape(req.solver.family) << "\""
        << ",\"cache\":\"" << (cache_hit ? "hit" : "miss") << "\""
-       << ",\"fingerprint\":\"" << canon.fingerprint.to_hex() << "\""
+       << ",\"fingerprint\":\"" << fp.to_hex() << "\""
        << ",\"served_value\":" << obs::json_number(served)
        << ",\"solve_ms\":" << obs::json_number(elapsed_ms)
        << ",\"solution\":\"" << obs::json_escape(model::to_string(sol))
@@ -411,7 +403,7 @@ class Engine {
          << ",\"status\":\"" << to_string(status) << "\""
          << ",\"solver\":\"" << obs::json_escape(req.solver.family) << "\""
          << ",\"cache\":\"" << (cache_hit ? "hit" : "miss") << "\""
-         << ",\"fingerprint\":\"" << canon.fingerprint.to_hex() << "\""
+         << ",\"fingerprint\":\"" << fp.to_hex() << "\""
          << ",\"queue_us\":" << obs::json_number(queue_us)
          << ",\"solve_us\":" << obs::json_number(elapsed_ms * 1000.0)
          << ",\"deadline_budget_ms\":"

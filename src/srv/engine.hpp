@@ -9,7 +9,8 @@
 // batch-wide budget via Deadline::after_at_most), solving goes through the
 // same run_solver dispatch the `solve` subcommand uses (so a cache miss is
 // byte-identical to a single-shot solve), results are memoized in an LRU
-// ResultCache keyed by canonical instance fingerprint, and every response
+// ResultCache keyed by the fingerprint of the instance as written (so a
+// hit is the very solution a miss would have produced), and every response
 // -- fresh or cached -- passes through the src/verify/ invariants.
 //
 // Failure isolation is per request: a malformed line, an unreadable

@@ -1,9 +1,7 @@
 #include "src/srv/fingerprint.hpp"
 
-#include <algorithm>
 #include <array>
 #include <bit>
-#include <numeric>
 
 #include "src/model/instance.hpp"
 
@@ -29,8 +27,7 @@ std::uint64_t double_bits(double v) noexcept {
   return bits;
 }
 
-// Order-dependent sequence hash (fed with *sorted* tuples, so the overall
-// fingerprint is order-independent in the original instance).
+// Order-dependent sequence hash: the fingerprint follows file order.
 class SeqHash {
  public:
   explicit SeqHash(std::uint64_t seed) : h_(mix64(seed)) {}
@@ -58,30 +55,6 @@ class SeqHash {
   std::uint64_t h_;
 };
 
-// The full numeric tuple of one customer in canonical-comparison form
-// (resolved value, signed zeros collapsed at hash time; the sort compares
-// raw doubles, which orders -0.0 and +0.0 as equal -- a tie, and ties are
-// interchangeable by construction).
-struct CustomerKey {
-  double x, y, demand, value;
-  friend bool operator<(const CustomerKey& a, const CustomerKey& b) {
-    if (a.x != b.x) return a.x < b.x;
-    if (a.y != b.y) return a.y < b.y;
-    if (a.demand != b.demand) return a.demand < b.demand;
-    return a.value < b.value;
-  }
-};
-
-struct AntennaKey {
-  double rho, range, capacity, min_range;
-  friend bool operator<(const AntennaKey& a, const AntennaKey& b) {
-    if (a.rho != b.rho) return a.rho < b.rho;
-    if (a.range != b.range) return a.range < b.range;
-    if (a.capacity != b.capacity) return a.capacity < b.capacity;
-    return a.min_range < b.min_range;
-  }
-};
-
 }  // namespace
 
 std::string Fingerprint::to_hex() const {
@@ -98,106 +71,44 @@ CanonicalInstance canonicalize(const model::Instance& inst,
                                const SolverKey& key) {
   const std::size_t n = inst.num_customers();
   const std::size_t k = inst.num_antennas();
-
-  std::vector<CustomerKey> ckeys(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const model::Customer& c = inst.customer(i);
-    // Resolved value (kValueIsDemand -> demand), so a v1 file and a v2 file
-    // spelling the default explicitly canonicalize identically.
-    ckeys[i] = {c.pos.x, c.pos.y, c.demand, inst.value(i)};
-  }
-  std::vector<AntennaKey> akeys(k);
-  for (std::size_t j = 0; j < k; ++j) {
-    const model::AntennaSpec& a = inst.antenna(j);
-    akeys[j] = {a.rho, a.range, a.capacity, a.min_range};
-  }
-
-  CanonicalInstance canon;
-  canon.customer_order.resize(n);
-  std::iota(canon.customer_order.begin(), canon.customer_order.end(), 0u);
-  std::sort(canon.customer_order.begin(), canon.customer_order.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              return ckeys[a] < ckeys[b];
-            });
-  canon.antenna_order.resize(k);
-  std::iota(canon.antenna_order.begin(), canon.antenna_order.end(), 0u);
-  std::sort(canon.antenna_order.begin(), canon.antenna_order.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              return akeys[a] < akeys[b];
-            });
-
   // Two independently seeded sequence hashes over identical input = one
   // 128-bit fingerprint.
   std::array<SeqHash, 2> h{SeqHash{0x5EC7095AC4ULL}, SeqHash{0xBA7C4C0DEULL}};
   for (SeqHash& hash : h) {
     hash.update(n);
-    for (const std::uint32_t i : canon.customer_order) {
-      hash.update_double(ckeys[i].x);
-      hash.update_double(ckeys[i].y);
-      hash.update_double(ckeys[i].demand);
-      hash.update_double(ckeys[i].value);
+    for (std::size_t i = 0; i < n; ++i) {
+      const model::Customer& c = inst.customer(i);
+      hash.update_double(c.pos.x);
+      hash.update_double(c.pos.y);
+      hash.update_double(c.demand);
+      // Resolved value (kValueIsDemand -> demand), so a v1 file and a v2
+      // file spelling the default explicitly hash identically.
+      hash.update_double(inst.value(i));
     }
     hash.update(k);
-    for (const std::uint32_t j : canon.antenna_order) {
-      hash.update_double(akeys[j].rho);
-      hash.update_double(akeys[j].range);
-      hash.update_double(akeys[j].capacity);
-      hash.update_double(akeys[j].min_range);
+    for (std::size_t j = 0; j < k; ++j) {
+      const model::AntennaSpec& a = inst.antenna(j);
+      hash.update_double(a.rho);
+      hash.update_double(a.range);
+      hash.update_double(a.capacity);
+      hash.update_double(a.min_range);
     }
     hash.update_bytes(key.family);
     hash.update(key.seed);
     hash.update(key.iterations);
     hash.update_bytes(key.portfolio);
   }
-  canon.fingerprint = {h[0].digest(), h[1].digest()};
-  return canon;
+  return {{h[0].digest(), h[1].digest()}};
 }
 
-model::Solution to_canonical(const CanonicalInstance& canon,
+model::Solution to_canonical(const CanonicalInstance& /*canon*/,
                              const model::Solution& sol) {
-  const std::size_t n = canon.customer_order.size();
-  const std::size_t k = canon.antenna_order.size();
-  // antenna_rank[j] = canonical position of instance antenna j.
-  std::vector<std::int32_t> antenna_rank(k, model::kUnserved);
-  for (std::size_t r = 0; r < k; ++r) {
-    antenna_rank[canon.antenna_order[r]] = static_cast<std::int32_t>(r);
-  }
-  model::Solution out;
-  out.status = sol.status;
-  out.alpha.resize(k);
-  for (std::size_t r = 0; r < k; ++r) {
-    out.alpha[r] = sol.alpha[canon.antenna_order[r]];
-  }
-  out.assign.resize(n, model::kUnserved);
-  for (std::size_t c = 0; c < n; ++c) {
-    const std::int32_t a = sol.assign[canon.customer_order[c]];
-    out.assign[c] = a == model::kUnserved
-                        ? model::kUnserved
-                        : antenna_rank[static_cast<std::size_t>(a)];
-  }
-  return out;
+  return sol;
 }
 
-model::Solution from_canonical(const CanonicalInstance& canon,
+model::Solution from_canonical(const CanonicalInstance& /*canon*/,
                                const model::Solution& canonical) {
-  const std::size_t n = canon.customer_order.size();
-  const std::size_t k = canon.antenna_order.size();
-  model::Solution out;
-  out.status = canonical.status;
-  out.alpha.resize(k);
-  for (std::size_t r = 0; r < k; ++r) {
-    out.alpha[canon.antenna_order[r]] = canonical.alpha[r];
-  }
-  out.assign.resize(n, model::kUnserved);
-  for (std::size_t c = 0; c < n; ++c) {
-    const std::int32_t rank = canonical.assign[c];
-    out.assign[canon.customer_order[c]] =
-        rank == model::kUnserved
-            ? model::kUnserved
-            : static_cast<std::int32_t>(
-                  canon.antenna_order[static_cast<std::size_t>(rank)]);
-  }
-  return out;
+  return canonical;
 }
 
 }  // namespace sectorpack::srv

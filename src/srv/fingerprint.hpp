@@ -1,40 +1,32 @@
 #pragma once
-// Canonical instance fingerprints for the batch result cache.
+// Instance fingerprints for the batch result cache.
 //
 // Two requests hit the same cache entry exactly when they describe the
-// same *problem*: the same multiset of customers, the same multiset of
-// antennas, and the same solver configuration (family, seed, iterations).
-// Presentation differences -- customer or antenna order in the file,
-// whitespace, v1 vs v2 format when the extra columns are at their
-// defaults -- must not change the fingerprint, while any change to a
-// demand, position, value, antenna spec, seed, or solver family must.
+// same *input*: the same customers and the same antennas in the same
+// order, and the same solver configuration (family, seed, iterations,
+// portfolio). The solvers take entities in index order and break ties by
+// index, so a reordered copy of an instance is a different input with its
+// own answer, and it gets its own key. Text differences -- whitespace,
+// float spelling, v1 vs v2 format when the extra columns are at their
+// defaults -- do not change the fingerprint, because it hashes parsed,
+// resolved values; any change to a demand, position, value, antenna spec,
+// seed or solver family does.
 //
-// The canonicalization is a sort: entity indices are ordered by their full
-// numeric tuple (exact comparison -- ties are bit-identical entities and
-// therefore interchangeable), and the 128-bit fingerprint is a sequence
-// hash over the sorted tuples plus the solver key. Because a permuted
-// instance has a *different index space*, the cache never stores a raw
-// solution: it stores the solution re-indexed into canonical entity order
-// (to_canonical), and a hit projects it back through the requesting
-// instance's own permutation (from_canonical). For a byte-identical
-// request the two permutations coincide and the projected solution is
-// exactly the one originally solved.
-//
-// Signed zeros are collapsed (-0.0 hashes and sorts as +0.0); NaNs never
-// reach this layer (model::io rejects them at parse time).
+// The 128-bit fingerprint hashes the entities in file order plus the
+// solver key, in O(n). Signed zeros are collapsed (-0.0 hashes as +0.0);
+// NaNs never reach this layer (model::io rejects them at parse time).
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "src/model/solution.hpp"
 
 namespace sectorpack::srv {
 
-/// 128-bit order-independent instance+config hash (two independently
-/// seeded 64-bit sequence hashes; collisions are negligible at batch
-/// scale, and a verify pass on every cache hit backstops them anyway).
+/// 128-bit instance+config hash (two independently seeded 64-bit sequence
+/// hashes; collisions are negligible at batch scale, and a verify pass on
+/// every cache hit backstops them anyway).
 struct Fingerprint {
   std::uint64_t hi = 0;
   std::uint64_t lo = 0;
@@ -68,28 +60,24 @@ struct SolverKey {
   std::string portfolio;  // race only; empty = the default portfolio
 };
 
-/// An instance's cache identity: the fingerprint plus the permutations
-/// that map canonical entity order back to this instance's index space.
-/// customer_order[c] / antenna_order[a] give the instance index of the
-/// canonically c-th customer / a-th antenna.
+/// An instance's cache identity. Only the fingerprint is left: the wrapper
+/// and the two identity projections below remain because perfbench's traced
+/// batch replay calls them, and ROADMAP item 7 deletes all three along
+/// with its `srv.project` layer.
 struct CanonicalInstance {
   Fingerprint fingerprint;
-  std::vector<std::uint32_t> customer_order;
-  std::vector<std::uint32_t> antenna_order;
 };
 
 [[nodiscard]] CanonicalInstance canonicalize(const model::Instance& inst,
                                              const SolverKey& key);
 
-/// Re-index a solution of `canon`'s instance into canonical entity order
-/// (alphas and assignment targets move to antenna ranks, assignment rows
-/// to customer ranks). Status is preserved.
+/// Identity: the cache stores the solution as solved. Deleted by ROADMAP
+/// item 7 together with the `srv.project` layer.
 [[nodiscard]] model::Solution to_canonical(const CanonicalInstance& canon,
                                            const model::Solution& sol);
 
-/// Inverse of to_canonical against (a possibly different permutation of)
-/// the same canonical instance: project a cached canonical solution into
-/// `canon`'s index space.
+/// Identity: a hit is served exactly as stored. Deleted by ROADMAP item 7
+/// together with the `srv.project` layer.
 [[nodiscard]] model::Solution from_canonical(const CanonicalInstance& canon,
                                              const model::Solution& canonical);
 

@@ -1,14 +1,15 @@
 // The batch request engine (src/srv/): the strict flat-JSON parser, the
-// canonical instance fingerprint and its permutation projections, the LRU
-// result cache, the bounded admission queue, and run_batch end to end --
-// including the soundness-critical properties: a cache miss is
-// byte-identical to a single-shot solve, a cache hit served to a permuted
-// instance still satisfies every verify:: invariant, and every request gets
-// exactly one response no matter how malformed its line is.
+// instance fingerprint, the LRU result cache, the bounded admission queue,
+// and run_batch end to end -- including the soundness-critical properties:
+// every response, cache hit or miss, is byte-identical to a single-shot
+// solve of that request's instance (a reordered copy is a different input
+// and misses), whatever the job count, and every request gets exactly one
+// response no matter how malformed its line is.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <set>
 #include <span>
 #include <sstream>
@@ -231,11 +232,39 @@ TEST(SrvRequest, RejectsBadRequests) {
 
 // ------------------------------------------------------------- fingerprint
 
-TEST(SrvFingerprint, PermutationInvariant) {
+TEST(SrvFingerprint, ReorderingChangesKey) {
+  // The solvers break ties by index, so entity order is part of the input:
+  // reordering the customers changes the key, and so does reordering the
+  // antennas.
   const srv::SolverKey key;
-  const auto a = srv::canonicalize(small_instance(), key);
-  const auto b = srv::canonicalize(small_instance_permuted(), key);
-  EXPECT_EQ(a.fingerprint, b.fingerprint);
+  const srv::Fingerprint fp =
+      srv::canonicalize(small_instance(), key).fingerprint;
+  EXPECT_EQ(srv::canonicalize(small_instance(), key).fingerprint, fp);
+
+  const model::Instance customers_reordered = model::InstanceBuilder{}
+      .add_customer_polar(2.1, 7.0, 4.0)  // first two customers swapped
+      .add_customer_polar(0.3, 5.0, 10.0)
+      .add_customer_polar(4.0, 3.0, 6.0)
+      .add_customer_polar(5.5, 8.0, 2.0)
+      .add_antenna(geom::kPi / 3, 10.0, 12.0)
+      .add_antenna(geom::kPi / 2, 10.0, 8.0)
+      .build();
+  const model::Instance antennas_reordered = model::InstanceBuilder{}
+      .add_customer_polar(0.3, 5.0, 10.0)
+      .add_customer_polar(2.1, 7.0, 4.0)
+      .add_customer_polar(4.0, 3.0, 6.0)
+      .add_customer_polar(5.5, 8.0, 2.0)
+      .add_antenna(geom::kPi / 2, 10.0, 8.0)  // antennas swapped
+      .add_antenna(geom::kPi / 3, 10.0, 12.0)
+      .build();
+  const srv::Fingerprint by_customers =
+      srv::canonicalize(customers_reordered, key).fingerprint;
+  const srv::Fingerprint by_antennas =
+      srv::canonicalize(antennas_reordered, key).fingerprint;
+  EXPECT_NE(by_customers, fp);
+  EXPECT_NE(by_antennas, fp);
+  EXPECT_NE(by_customers, by_antennas);
+  EXPECT_NE(srv::canonicalize(small_instance_permuted(), key).fingerprint, fp);
 }
 
 TEST(SrvFingerprint, TextFormattingInvariant) {
@@ -337,18 +366,6 @@ TEST(SrvFingerprint, CollisionSmokeOverGenerators) {
     }
   }
   EXPECT_EQ(static_cast<int>(seen.size()), total);
-}
-
-TEST(SrvFingerprint, CanonicalRoundTrip) {
-  const model::Instance inst = small_instance_permuted();
-  const auto canon = srv::canonicalize(inst, srv::SolverKey{});
-  model::Solution sol = sectors::solve_greedy(inst);
-  sol.assign[0] = model::kUnserved;  // exercise the unserved mapping too
-  const model::Solution back =
-      srv::from_canonical(canon, srv::to_canonical(canon, sol));
-  EXPECT_EQ(back.status, sol.status);
-  EXPECT_EQ(back.alpha, sol.alpha);
-  EXPECT_EQ(back.assign, sol.assign);
 }
 
 // ------------------------------------------------------------------ cache
@@ -471,34 +488,63 @@ TEST(SrvEngine, CacheMissMatchesSingleShotByteForByte) {
             model::to_string(sectors::solve_greedy(inst)));
 }
 
-TEST(SrvEngine, PermutedInstanceHitsCacheAndStaysFeasible) {
+TEST(SrvEngine, PermutedInstanceMissesAndMatchesRunSolver) {
+  // A reordered copy is a different input: it misses and gets exactly its
+  // own direct answer. A same-order resubmission still hits and is served
+  // the stored solution unchanged.
   const model::Instance permuted = small_instance_permuted();
+  const std::string original = model::to_string(small_instance());
   std::string input;
-  input += json_line(model::to_string(small_instance()),
-                     ",\"id\":\"a\",\"solver\":\"greedy\"");
+  input += json_line(original, ",\"id\":\"a\",\"solver\":\"greedy\"");
   input += "\n";
   input += json_line(model::to_string(permuted),
                      ",\"id\":\"b\",\"solver\":\"greedy\"");
   input += "\n";
+  input += json_line(original, ",\"id\":\"c\",\"solver\":\"greedy\"");
+  input += "\n";
 
   std::string output;
   srv::BatchConfig config;
-  config.jobs = 1;  // deterministic order: "a" populates, "b" hits
+  config.jobs = 1;  // deterministic order: "a" populates, "c" hits
   const srv::BatchReport report = run(input, &output, config);
   EXPECT_EQ(report.cache_hits, 1u);
-  EXPECT_EQ(report.cache_misses, 1u);
+  EXPECT_EQ(report.cache_misses, 2u);
 
   const auto responses = parse_responses(output);
-  ASSERT_EQ(responses.size(), 2u);
-  EXPECT_EQ(field(responses[0], "fingerprint"),
+  ASSERT_EQ(responses.size(), 3u);
+  EXPECT_NE(field(responses[0], "fingerprint"),
             field(responses[1], "fingerprint"));
-  EXPECT_EQ(field(responses[1], "cache"), "hit");
-  // The projected hit must be a valid solution *of the permuted instance*.
-  const model::Solution sol =
-      model::solution_from_string(field(responses[1], "solution"));
-  EXPECT_TRUE(verify::verify_solution(permuted, sol).ok);
-  EXPECT_DOUBLE_EQ(responses[0].at("served_value").number,
-                   responses[1].at("served_value").number);
+  EXPECT_EQ(field(responses[1], "cache"), "miss");
+  srv::SolverKey key;
+  key.family = "greedy";
+  EXPECT_EQ(field(responses[1], "solution"),
+            model::to_string(srv::run_solver(permuted, key, {})));
+  EXPECT_EQ(field(responses[2], "fingerprint"),
+            field(responses[0], "fingerprint"));
+  EXPECT_EQ(field(responses[2], "cache"), "hit");
+  EXPECT_EQ(field(responses[2], "solution"), field(responses[0], "solution"));
+}
+
+TEST(SrvEngine, DisabledCacheCountsEveryMiss) {
+  // A disabled cache stores nothing, but every request still looks it up,
+  // so the stats show it as 0 hits out of N rather than as no cache.
+  const std::string inst_text = model::to_string(small_instance());
+  std::string input;
+  for (int i = 0; i < 3; ++i) {
+    input += json_line(inst_text, ",\"solver\":\"greedy\"");
+    input += "\n";
+  }
+  std::string output;
+  srv::BatchConfig config;
+  config.jobs = 1;
+  config.cache_entries = 0;
+  const srv::BatchReport report = run(input, &output, config);
+  EXPECT_EQ(report.ok, 3u);
+  EXPECT_EQ(report.cache_hits, 0u);
+  EXPECT_EQ(report.cache_misses, 3u);
+  for (const auto& r : parse_responses(output)) {
+    EXPECT_EQ(field(r, "cache"), "miss");
+  }
 }
 
 TEST(SrvEngine, BudgetExhaustedIncumbentsAreNotCached) {
@@ -629,11 +675,9 @@ TEST(SrvEngine, GlobalBudgetAfterLastLineRejectsUnstarted) {
 
 TEST(SrvEngine, ParallelBatchIsCompleteAndSound) {
   // 60 requests over 8 workers with a tiny admission queue: every request
-  // gets its response, in input order, and each response obeys the cache
-  // contract -- a miss is byte-identical to the single-shot solve of that
-  // request's instance, a hit passes the verify:: invariants against it.
-  // (Full byte-determinism across runs is a jobs=1 property: under
-  // parallelism, whether a repeated instance hits or misses is a race.)
+  // gets its response, in input order, and every response -- hit or miss
+  // -- is byte-identical to the single-shot solve of that request's
+  // instance, so which requests hit cannot show in the output.
   const model::Instance inst_a = small_instance();
   const model::Instance inst_b = small_instance_permuted();
   const std::string a = model::to_string(inst_a);
@@ -666,13 +710,96 @@ TEST(SrvEngine, ParallelBatchIsCompleteAndSound) {
     const model::Solution sol =
         model::solution_from_string(field(responses[i], "solution"));
     EXPECT_TRUE(verify::verify_solution(inst, sol).ok) << "response " << i;
-    if (field(responses[i], "cache") == "miss") {
-      srv::SolverKey key;
-      key.family = field(responses[i], "solver");
-      EXPECT_EQ(field(responses[i], "solution"),
-                model::to_string(srv::run_solver(inst, key, {})))
-          << "response " << i;
+    srv::SolverKey key;
+    key.family = field(responses[i], "solver");
+    EXPECT_EQ(field(responses[i], "solution"),
+              model::to_string(srv::run_solver(inst, key, {})))
+        << "response " << i << " (cache " << field(responses[i], "cache")
+        << ")";
+  }
+}
+
+/// `customers` under three identical antennas of width 1 rad whose range
+/// covers the whole [-10, 10]^2 grid.
+model::Instance with_identical_fleet(
+    const std::vector<model::Customer>& customers) {
+  model::InstanceBuilder builder;
+  for (const model::Customer& c : customers) {
+    builder.add_customer(c.pos.x, c.pos.y, c.demand);
+  }
+  return builder.add_identical_antennas(3, 1.0, 15.0, 12.0).build();
+}
+
+TEST(SrvEngine, ReorderedCopiesAnswerTheSameInEveryRun) {
+  // A tie-heavy instance -- 40 customers at integer positions in
+  // [-10, 10]^2 (origin dropped), demands 1-3, identical antennas -- then
+  // seven copies with the customers shuffled, then the instance again.
+  // Many packings tie and the solvers break ties by index, so a copy's own
+  // answer need not be the original's answer renumbered: for this instance
+  // they differ for six of the seven copies, in every family. Streamed
+  // through four jobs, where which copy is solved first is a race, every
+  // run must give every request the answer it gets with the cache off.
+  sim::Rng rng(4);
+  std::vector<model::Customer> customers;
+  while (customers.size() < 40) {
+    const std::int64_t x = rng.uniform_int(std::int64_t{-10}, std::int64_t{10});
+    const std::int64_t y = rng.uniform_int(std::int64_t{-10}, std::int64_t{10});
+    if (x == 0 && y == 0) continue;
+    model::Customer c;
+    c.pos = {static_cast<double>(x), static_cast<double>(y)};
+    c.demand =
+        static_cast<double>(rng.uniform_int(std::int64_t{1}, std::int64_t{3}));
+    customers.push_back(c);
+  }
+  const std::string original =
+      model::to_string(with_identical_fleet(customers));
+  std::vector<std::string> texts{original};
+  sim::Rng shuffle(4007);
+  for (int copy = 0; copy < 7; ++copy) {
+    std::vector<model::Customer> shuffled = customers;
+    for (std::size_t i = shuffled.size(); i > 1; --i) {
+      std::swap(shuffled[i - 1], shuffled[shuffle.uniform_int(i)]);
     }
+    texts.push_back(model::to_string(with_identical_fleet(shuffled)));
+  }
+  texts.push_back(original);
+
+  std::string input;
+  for (const char* family : {"greedy", "local-search", "annealing", "race"}) {
+    for (const std::string& text : texts) {
+      input += json_line(text, std::string(",\"solver\":\"") + family +
+                                   "\",\"iterations\":200");
+      input += "\n";
+    }
+  }
+  const std::size_t requests = 4 * texts.size();
+  const auto solutions = [&](std::size_t cache_entries) {
+    std::string output;
+    srv::BatchConfig config;
+    config.jobs = 4;
+    config.cache_entries = cache_entries;
+    const srv::BatchReport report = run(input, &output, config);
+    EXPECT_EQ(report.ok, requests);
+    EXPECT_EQ(report.cache_hits + report.cache_misses, requests);
+    std::vector<std::string> out;
+    for (const auto& r : parse_responses(output)) {
+      out.push_back(field(r, "solution"));
+    }
+    return out;
+  };
+
+  const std::vector<std::string> uncached = solutions(0);
+  ASSERT_EQ(uncached.size(), requests);
+  for (int repeat = 0; repeat < 5; ++repeat) {
+    const std::vector<std::string> cached = solutions(128);
+    ASSERT_EQ(cached.size(), requests);
+    std::string differing;
+    for (std::size_t i = 0; i < requests; ++i) {
+      if (cached[i] != uncached[i]) differing += " " + std::to_string(i);
+    }
+    EXPECT_TRUE(differing.empty())
+        << "run " << repeat << ": responses differ from the cache-off run:"
+        << differing;
   }
 }
 

@@ -274,7 +274,8 @@ int cmd_generate(const Args& args) {
   require_known(args, {"n", "k", "spatial", "demand", "radius", "rho-deg",
                        "range", "capacity-fraction", "seed", "out"});
   sim::WorkloadConfig wc;
-  wc.num_customers = args.get_size("n", 100);
+  wc.num_customers =
+      args.get_bounded("n", std::size_t{100}, model::kMaxIoCount);
   const std::string spatial = args.get("spatial", "uniform");
   if (spatial == "uniform") {
     wc.spatial = sim::Spatial::kUniformDisk;
@@ -300,7 +301,7 @@ int cmd_generate(const Args& args) {
   wc.disk_radius = args.get_double("radius", wc.disk_radius);
 
   sim::AntennaConfig ac;
-  ac.count = args.get_size("k", 3);
+  ac.count = args.get_bounded("k", std::size_t{3}, model::kMaxIoCount);
   ac.rho = geom::deg_to_rad(args.get_double("rho-deg", 60.0));
   ac.range = args.get_double("range", 1.3 * wc.disk_radius);
   ac.capacity_fraction = args.get_double("capacity-fraction", 0.5);
