@@ -20,8 +20,9 @@
 #              re-verify their solutions via src/verify/ on every return.
 #   sanitize   the ASan+UBSan battery (or TSan with --tsan): full test
 #              suite plus the hostile-input corpus and the CLI exit-code
-#              table from docs/robustness.md, over-bound size flags
-#              included.
+#              table from docs/robustness.md, over-bound size flags and
+#              writes to a full disk included; `solve --in -` and a CRLF
+#              copy must give the bytes of the plain file.
 #   batch      the `sectorpack batch` corpus (docs/serving.md): a
 #              200-request mixed valid/malformed/deadline-expiring run at
 #              --jobs 8 under ASan+UBSan and again under TSan, over three
@@ -310,6 +311,31 @@ run_sanitize() {
   fi
   expect_rc 1 "$CLI" verify --in "$TMP/ok.inst" --solution "$TMP/corrupt.sol"
   grep -q 'assign-range' "$TMP/out"
+
+  # Output that cannot be written is a runtime error (1), not a lost file.
+  expect_rc 1 "$CLI" generate --n 1000 --out /dev/full
+  grep -q 'cannot write /dev/full' "$TMP/err"
+  expect_rc 1 "$CLI" solve --in "$TMP/ok.inst" --out /dev/full
+  grep -q 'cannot write /dev/full' "$TMP/err"
+
+  # Solution-file parse errors name the file, as instance errors do.
+  printf 'sectorpack-solution v1\nalphas x\n' > "$TMP/bad.sol"
+  expect_rc 1 "$CLI" validate --in "$TMP/ok.inst" --solution "$TMP/bad.sol"
+  grep -q 'bad.sol: expected' "$TMP/err"
+
+  # stdin is read whole, as a file is: the same solution file and summary
+  # line. A CRLF copy of a file solves to the same bytes as the file.
+  expect_rc 0 "$CLI" solve --in "$TMP/ok.inst" -o "$TMP/file.sol"
+  mv "$TMP/err" "$TMP/file.err"
+  expect_rc 0 "$CLI" solve --in - -o "$TMP/stdin.sol" < "$TMP/ok.inst"
+  cmp "$TMP/file.sol" "$TMP/stdin.sol"
+  cmp "$TMP/file.err" "$TMP/err"
+  sed 's/$/\r/' data/mixed_fleet.inst > "$TMP/crlf.inst"
+  expect_rc 0 "$CLI" solve --in data/mixed_fleet.inst -o "$TMP/lf.sol"
+  mv "$TMP/err" "$TMP/lf.err"
+  expect_rc 0 "$CLI" solve --in "$TMP/crlf.inst" -o "$TMP/crlf.sol"
+  cmp "$TMP/lf.sol" "$TMP/crlf.sol"
+  cmp "$TMP/lf.err" "$TMP/err"
 
   echo
   if [[ "$fuzz_only" == "1" ]]; then

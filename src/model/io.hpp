@@ -9,8 +9,8 @@
 //   <rho> <range> <capacity>  (k lines)
 //
 // Value-weighted instances use header "sectorpack-instance v2" and a fourth
-// customer column <value>. write_instance picks the smallest format that
-// preserves the instance; read_instance accepts both.
+// customer column <value>. to_string picks the smallest format that
+// preserves the instance; the readers accept both.
 //
 // Solution format:
 //   sectorpack-solution v1
@@ -23,10 +23,12 @@
 // Parsing is strict: counts are bounded (no forged-header allocations),
 // and every line must contain exactly its expected fields -- trailing
 // tokens are a parse error, not silently ignored. All malformed input
-// raises std::runtime_error naming the offending line.
+// raises std::runtime_error naming the offending line. The number grammar
+// is the one `operator>>` reads (docs/file_formats.md); the readers scan
+// the whole text once with std::from_chars, and the writers format with
+// std::to_chars at 17 significant digits, so doubles roundtrip bit-exactly.
 
 #include <cstddef>
-#include <iosfwd>
 #include <string>
 
 #include "src/model/solution.hpp"
@@ -40,20 +42,21 @@ namespace sectorpack::model {
 /// a file the reader rejects.
 inline constexpr std::size_t kMaxIoCount = 100'000'000;
 
-void write_instance(std::ostream& os, const Instance& inst);
-[[nodiscard]] Instance read_instance(std::istream& is);
-
-/// Open `path` and parse it as an instance; "-" reads stdin. Open and parse
-/// failures both raise std::runtime_error naming the path, so callers (the
-/// CLI, the batch engine) report one uniform error shape per request.
+/// Read `path` whole and parse it as an instance; "-" reads stdin. Open and
+/// parse failures both raise std::runtime_error naming the path, so callers
+/// (the CLI, the batch engine) report one uniform error shape per request.
 [[nodiscard]] Instance read_instance_file(const std::string& path);
-
-void write_solution(std::ostream& os, const Solution& sol);
-[[nodiscard]] Solution read_solution(std::istream& is);
+/// The solution counterpart of read_instance_file.
+[[nodiscard]] Solution read_solution_file(const std::string& path);
 
 [[nodiscard]] std::string to_string(const Instance& inst);
 [[nodiscard]] Instance instance_from_string(const std::string& text);
 [[nodiscard]] std::string to_string(const Solution& sol);
 [[nodiscard]] Solution solution_from_string(const std::string& text);
+
+/// Append `sol` to `out` as it sits inside a JSON string: the bytes of
+/// obs::json_escape(to_string(sol)), written in one pass. The solution
+/// format's only character that JSON escapes is '\n'.
+void append_solution_escaped(std::string& out, const Solution& sol);
 
 }  // namespace sectorpack::model

@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -414,10 +416,11 @@ std::string json_escape(std::string_view s) {
 
 std::string json_number(double v) {
   if (!std::isfinite(v)) return "null";
-  std::ostringstream os;
-  os.precision(12);
-  os << v;
-  return os.str();
+  // printf's %.12g, as operator<< at precision 12 wrote it.
+  char buf[32];
+  return std::string(
+      buf, std::to_chars(buf, std::end(buf), v, std::chars_format::general, 12)
+               .ptr);
 }
 
 std::string Snapshot::to_json() const {

@@ -375,17 +375,18 @@ class Engine {
             ? RequestStatus::kOk
             : RequestStatus::kBudgetExhausted;
     const double served = served_value(inst, sol);
-    std::ostringstream os;
-    os << "{\"index\":" << req.index;
-    if (!req.id.empty()) os << ",\"id\":\"" << obs::json_escape(req.id) << "\"";
-    os << ",\"status\":\"" << to_string(status) << "\""
-       << ",\"solver\":\"" << obs::json_escape(req.solver.family) << "\""
-       << ",\"cache\":\"" << (cache_hit ? "hit" : "miss") << "\""
-       << ",\"fingerprint\":\"" << fp.to_hex() << "\""
-       << ",\"served_value\":" << obs::json_number(served)
-       << ",\"solve_ms\":" << obs::json_number(elapsed_ms)
-       << ",\"solution\":\"" << obs::json_escape(model::to_string(sol))
-       << "\"}";
+    std::string line = "{\"index\":" + std::to_string(req.index);
+    if (!req.id.empty()) line += ",\"id\":\"" + obs::json_escape(req.id) + "\"";
+    line += ",\"status\":\"";
+    line += to_string(status);
+    line += "\",\"solver\":\"" + obs::json_escape(req.solver.family) + "\"";
+    line += cache_hit ? ",\"cache\":\"hit\"" : ",\"cache\":\"miss\"";
+    line += ",\"fingerprint\":\"" + fp.to_hex() + "\"";
+    line += ",\"served_value\":" + obs::json_number(served);
+    line += ",\"solve_ms\":" + obs::json_number(elapsed_ms);
+    line += ",\"solution\":\"";
+    model::append_solution_escaped(line, sol);
+    line += "\"}";
     h_request_ms_.observe(elapsed_ms);
     // Cache hits are recorded as their own kind so their near-zero
     // latencies never dilute the solve percentiles (docs/observability.md
@@ -413,7 +414,7 @@ class Engine {
          << ",\"deadline_used_ms\":" << obs::json_number(elapsed_ms) << "}";
       access = al.str();
     }
-    complete(req.index, status, os.str(), std::move(access));
+    complete(req.index, status, std::move(line), std::move(access));
   }
 
   void complete_unsolved(std::size_t index, const std::string& id,

@@ -319,25 +319,27 @@ class ServeLoop {
     slo_.record(elapsed_ms, /*deadline_ok=*/status == RequestStatus::kOk,
                 obs::SloKind::kSolve);
 
-    std::ostringstream os;
-    os << "{\"index\":" << op.index;
-    if (!op.id.empty()) os << ",\"id\":\"" << obs::json_escape(op.id) << "\"";
-    os << ",\"op\":\"" << obs::json_escape(op.op) << "\""
-       << ",\"session\":\"" << obs::json_escape(session_id) << "\""
-       << ",\"status\":\"" << to_string(status) << "\""
-       << ",\"solver\":\"" << obs::json_escape(session.solver().family)
-       << "\""
-       << ",\"incremental\":" << (stats.incremental ? "true" : "false")
-       << ",\"memo_hits\":" << stats.memo_hits
-       << ",\"fresh_evals\":" << stats.fresh_evals
-       << ",\"dirty_permille\":"
-       << obs::json_number(1000.0 * stats.dirty_ratio)
-       << ",\"served_value\":"
-       << obs::json_number(served_value(session.instance(), sol))
-       << ",\"solve_ms\":" << obs::json_number(elapsed_ms)
-       << ",\"solution\":\"" << obs::json_escape(model::to_string(sol))
-       << "\"}";
-    out_ << os.str() << "\n";
+    std::string line = "{\"index\":" + std::to_string(op.index);
+    if (!op.id.empty()) line += ",\"id\":\"" + obs::json_escape(op.id) + "\"";
+    line += ",\"op\":\"" + obs::json_escape(op.op) + "\"";
+    line += ",\"session\":\"" + obs::json_escape(session_id) + "\"";
+    line += ",\"status\":\"";
+    line += to_string(status);
+    line += "\",\"solver\":\"" + obs::json_escape(session.solver().family) +
+            "\"";
+    line += stats.incremental ? ",\"incremental\":true"
+                              : ",\"incremental\":false";
+    line += ",\"memo_hits\":" + std::to_string(stats.memo_hits);
+    line += ",\"fresh_evals\":" + std::to_string(stats.fresh_evals);
+    line += ",\"dirty_permille\":" +
+            obs::json_number(1000.0 * stats.dirty_ratio);
+    line += ",\"served_value\":" +
+            obs::json_number(served_value(session.instance(), sol));
+    line += ",\"solve_ms\":" + obs::json_number(elapsed_ms);
+    line += ",\"solution\":\"";
+    model::append_solution_escaped(line, sol);
+    line += "\"}\n";
+    out_ << line;
     out_.flush();
   }
 

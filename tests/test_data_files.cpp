@@ -1,7 +1,6 @@
 // The committed sample instances in data/ must stay loadable and solvable:
 // they are the fixtures the README and CLI docs point users at.
 
-#include <fstream>
 #include <gtest/gtest.h>
 
 #include "src/sectorpack.hpp"
@@ -11,10 +10,8 @@ using namespace sectorpack;
 namespace {
 
 model::Instance load(const std::string& name) {
-  const std::string path = std::string(SECTORPACK_DATA_DIR) + "/" + name;
-  std::ifstream in(path);
-  EXPECT_TRUE(in.good()) << "missing data file " << path;
-  return model::read_instance(in);
+  return model::read_instance_file(std::string(SECTORPACK_DATA_DIR) + "/" +
+                                   name);
 }
 
 }  // namespace

@@ -247,9 +247,10 @@ TEST(Robustness, IoRejectsTrailingTokens) {
 }
 
 TEST(Robustness, IoRejectsNonFiniteNumericColumns) {
-  // num_get never accepts "nan"/"inf" spellings, and out-of-range literals
-  // like 3e999999 set failbit; both must surface as parse errors rather
-  // than NaN/inf smuggled into the model (or a crash).
+  // The readers take no "nan"/"inf" spelling (from_chars would; operator>>
+  // never did), and out-of-range literals like 3e999999 fail; both must
+  // surface as parse errors rather than NaN/inf smuggled into the model (or
+  // a crash).
   for (const char* text :
        {"sectorpack-instance v1\ncustomers 1\nnan 2 3\nantennas 0\n",
         "sectorpack-instance v1\ncustomers 1\n1 inf 3\nantennas 0\n",

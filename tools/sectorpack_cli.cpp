@@ -253,13 +253,6 @@ model::Instance load_instance(const Args& args) {
   return model::read_instance_file(path);
 }
 
-model::Solution load_solution(const std::string& path) {
-  if (path == "-") return model::read_solution(std::cin);
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  return model::read_solution(in);
-}
-
 void write_text(const std::string& path, const std::string& text) {
   if (path.empty() || path == "-") {
     std::cout << text;
@@ -267,7 +260,10 @@ void write_text(const std::string& path, const std::string& text) {
   }
   std::ofstream out(path);
   if (!out) throw std::runtime_error("cannot open " + path);
+  // A full disk fails the write, or only the flush at close.
   out << text;
+  if (out) out.close();
+  if (!out) throw std::runtime_error("cannot write " + path);
 }
 
 int cmd_generate(const Args& args) {
@@ -402,7 +398,8 @@ int cmd_solve(const Args& args) {
 int cmd_validate(const Args& args) {
   require_known(args, {"in", "solution"});
   const model::Instance inst = load_instance(args);
-  const model::Solution sol = load_solution(args.get("solution", "-"));
+  const model::Solution sol =
+      model::read_solution_file(args.get("solution", "-"));
   const model::ValidationReport report = model::validate(inst, sol);
   if (report.ok) {
     std::cout << "OK: served " << model::served_demand(inst, sol) << " of "
@@ -424,7 +421,8 @@ int cmd_validate(const Args& args) {
 int cmd_verify(const Args& args) {
   require_known(args, {"in", "solution"});
   const model::Instance inst = load_instance(args);
-  const model::Solution sol = load_solution(args.get("solution", "-"));
+  const model::Solution sol =
+      model::read_solution_file(args.get("solution", "-"));
   const verify::VerifyReport report = verify::verify_solution(inst, sol);
   if (report.ok) {
     std::cout << "OK: all invariants hold (served "
@@ -501,7 +499,7 @@ int cmd_render(const Args& args) {
   const model::Instance inst = load_instance(args);
   std::optional<model::Solution> sol;
   if (args.has("solution")) {
-    sol = load_solution(args.get("solution", "-"));
+    sol = model::read_solution_file(args.get("solution", "-"));
   }
   const std::string out = args.get("out", "out.svg");
   viz::write_svg(out, inst, sol ? &*sol : nullptr);
