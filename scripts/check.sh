@@ -29,7 +29,8 @@
 #              instances and a reordered copy of each (customers shuffled,
 #              antennas reversed), asserting one response per request,
 #              exact per-status counts, miss/solve byte-identity, verified
-#              cache hits, and cache metrics in --stats json; the corpus
+#              cache hits, and --stats json request, cache and quality
+#              counters equal to what the responses show; the corpus
 #              runs again at --jobs 8 and once with --cache-entries 0, and
 #              every ok solution must be identical across the three runs;
 #              then the SIGINT drain gate under ASan+UBSan (three slow
@@ -350,8 +351,8 @@ run_sanitize() {
 # batch` in the build at $1 with --jobs $2, then check the per-request
 # contract: one response per request in input order, exact per-status
 # counts, cache misses byte-identical to single-shot `solve`, cache hits
-# accepted by `sectorpack verify`, and cache/queue metrics present in
-# --stats json.
+# accepted by `sectorpack verify`, and --stats json counters that agree
+# with the responses although the pumps wrote them side by side.
 run_batch_corpus() {
   local CLI="$1/tools/sectorpack"
   local jobs="$2"
@@ -428,11 +429,8 @@ EOF
   expect_rc 0 "$CLI" batch --in "$TMP/requests.jsonl" \
     --out "$TMP/responses.jsonl" --jobs "$jobs" --cache-entries 64 \
     --stats json
-  # Cache and queue metrics must be visible in the stats snapshot.
-  for metric in srv.cache.hit srv.cache.miss srv.cache.evicted \
-                srv.queue.depth srv.requests.ok; do
-    grep -q "$metric" "$TMP/out"
-  done
+  # The stats snapshot is the last line of stdout; checked below.
+  tail -n 1 "$TMP/out" > "$TMP/stats.json"
   # The same corpus again at the same --jobs, where which request reaches
   # the cache first is another race, and once with the cache off.
   expect_rc 0 "$CLI" batch --in "$TMP/requests.jsonl" \
@@ -490,6 +488,32 @@ for r in by_status["ok"]:
     verified += 1
 assert verified > 0, "no cache hits found"
 
+# The first run's --stats json counts what its responses show.
+stats = json.load(open("%s/stats.json" % tmp))
+counters, histograms = stats["counters"], stats["histograms"]
+assert "srv.cache.evicted" in counters, "srv.cache.evicted missing"
+assert "srv.queue.depth" in stats["gauges"], "srv.queue.depth missing"
+for status in ("ok", "budget_exhausted", "invalid", "rejected"):
+    assert counters["srv.requests." + status] == counts.get(status, 0), \
+        (status, counters["srv.requests." + status], counts.get(status, 0))
+solved = by_status.get("ok", []) + by_status.get("budget_exhausted", [])
+hits = sum(1 for r in solved if r["cache"] == "hit")
+# A hit that fails its check (srv.cache.mismatch) is solved again and
+# answered as a miss.
+assert counters["srv.cache.hit"] - counters["srv.cache.mismatch"] == hits, \
+    (counters["srv.cache.hit"], counters["srv.cache.mismatch"], hits)
+assert counters["srv.cache.miss"] + counters["srv.cache.mismatch"] == \
+    len(solved) - hits, (counters["srv.cache.miss"], len(solved) - hits)
+for name in ("srv.request_ms", "quality.gap_permille"):
+    assert histograms[name]["count"] == len(solved), \
+        (name, histograms[name]["count"], len(solved))
+families = [n[len("quality."):-len(".solves")] for n in counters
+            if n.startswith("quality.") and n.endswith(".solves")]
+assert set(r["solver"] for r in solved) <= set(families), families
+for family in families:
+    want = sum(1 for r in solved if r["solver"] == family)
+    assert counters["quality.%s.solves" % family] == want, (family, want)
+
 # Degraded requests carry the status in their solution payload.
 for r in by_status["budget_exhausted"]:
     assert "status budget_exhausted" in r["solution"], r["id"]
@@ -514,8 +538,9 @@ for name in ("responses_again", "responses_uncached"):
             assert r["solution"] == o["solution"], \
                 "%s: solution of %s differs" % (name, r["id"])
 print("batch corpus OK: %d responses, %d miss-identity checks, "
-      "%d hit verifications, ok solutions identical in a second run and "
-      "with the cache off" % (count, len(checked), verified))
+      "%d hit verifications, stats counters match the responses, ok "
+      "solutions identical in a second run and with the cache off"
+      % (count, len(checked), verified))
 EOF
 }
 

@@ -8,6 +8,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <sstream>
@@ -59,60 +60,37 @@ double hdr_bucket_upper(std::size_t bucket) noexcept {
 
 namespace detail {
 
-// One writer thread's slice of the registry. Only the owning thread writes;
-// relaxed atomics let snapshot() read concurrently without tearing.
-struct Shard {
-  struct HdrSlot {
-    std::array<std::atomic<std::uint64_t>, kHdrBuckets> buckets{};
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<double> sum{0.0};
-    std::atomic<double> min{kInf};
-    std::atomic<double> max{-kInf};
-  };
-  std::array<std::atomic<std::uint64_t>, kMaxCounters> counters{};
-  std::array<HdrSlot, kMaxHdrHistograms> hdr{};
-
-  void zero() {
-    // sp-sync: relaxed stores; zero() runs under the registry mutex
-    // (Registry::reset) and concurrent writers/readers already tolerate
-    // per-slot staleness, so no cross-slot ordering is needed.
-    for (auto& c : counters) c.store(0, std::memory_order_relaxed);
-    for (auto& h : hdr) {
-      for (auto& b : h.buckets) b.store(0, std::memory_order_relaxed);
-      h.count.store(0, std::memory_order_relaxed);
-      h.sum.store(0.0, std::memory_order_relaxed);
-      h.min.store(kInf, std::memory_order_relaxed);
-      h.max.store(-kInf, std::memory_order_relaxed);
-    }
-  }
+// One histogram's buckets and summary, written by every thread that
+// observes into it.
+struct HdrSlot {
+  std::array<std::atomic<std::uint64_t>, kHdrBuckets> buckets{};
+  std::atomic<std::uint64_t> count{0};
+  std::atomic<double> sum{0.0};
+  std::atomic<double> min{kInf};
+  std::atomic<double> max{-kInf};
 };
 
 struct State {
-  const std::uint64_t uid;
   mutable core::Mutex mu;
-  // Registration tables and the shard list are mu-guarded; the hot record
-  // paths never touch them (they go through the thread-local shard cache
-  // in local_shard()).
+  // Registration tables are mu-guarded. Writers never touch them: a
+  // counter or gauge handle indexes the fixed arrays below, and a
+  // histogram handle points at its slot.
   std::vector<std::string> counter_names SP_GUARDED_BY(mu);  // slot -> name
   std::vector<std::string> gauge_names SP_GUARDED_BY(mu);
   std::vector<std::string> hdr_names SP_GUARDED_BY(mu);
-  std::vector<std::unique_ptr<Shard>> shards
-      SP_GUARDED_BY(mu);  // one per live writer thread, plus idle ones
-  std::vector<Shard*> idle SP_GUARDED_BY(mu);  // shards of exited threads
-  // Gauges are set rarely and need last-write-wins across threads, so they
-  // live directly in the shared state rather than in shards.
+  // Allocated when its name registers, so a registry pays ~42 KB per
+  // histogram it has, not per histogram it could have.
+  std::vector<std::unique_ptr<HdrSlot>> hdr SP_GUARDED_BY(mu);
+  std::array<std::atomic<std::uint64_t>, kMaxCounters> counters{};
   std::array<std::atomic<double>, kMaxGauges> gauges{};
   std::array<std::atomic<bool>, kMaxGauges> gauge_set{};
-
-  explicit State(std::uint64_t id) : uid(id) {}
 };
 
 namespace {
 
-std::size_t register_name(State& st, std::vector<std::string>& names,
-                          std::size_t limit, std::string_view name,
-                          const char* kind) {
-  core::LockGuard lock(st.mu);
+// Caller holds the registry mutex.
+std::size_t register_name(std::vector<std::string>& names, std::size_t limit,
+                          std::string_view name, const char* kind) {
   for (std::size_t i = 0; i < names.size(); ++i) {
     if (names[i] == name) return i;
   }
@@ -124,55 +102,18 @@ std::size_t register_name(State& st, std::vector<std::string>& names,
   return names.size() - 1;
 }
 
-// Thread-local cache of this thread's shard per registry. Keyed by the
-// registry's never-reused uid, so a stale entry for a destroyed registry can
-// never alias a new one. A shard is only dereferenced through a live handle,
-// which keeps its registry -- the shard's owner -- alive.
-//
-// Threads come and go (every fan-out starts its own), so a thread's exit
-// hands its shards back to their registries, and the next new writer adopts
-// one instead of allocating ~340 KB that would be kept forever. Snapshots
-// sum shards, so it does not matter which thread wrote a count, and the
-// registry mutex orders the old owner's writes before the new owner's.
-struct ShardCache {
-  struct Entry {
-    std::uint64_t uid = 0;
-    std::weak_ptr<State> state;
-    Shard* shard = nullptr;
-  };
-  std::vector<Entry> entries;
-
-  ShardCache() = default;
-  ShardCache(const ShardCache&) = delete;
-  ShardCache& operator=(const ShardCache&) = delete;
-  ~ShardCache() {
-    for (const Entry& e : entries) {
-      if (const std::shared_ptr<State> state = e.state.lock()) {
-        core::LockGuard lock(state->mu);
-        state->idle.push_back(e.shard);
-      }
-    }
+// Moves `extreme` to `value` while `better(value, extreme)`; a writer that
+// lost the race retries against the value that beat it.
+template <class Better>
+void update_extreme(std::atomic<double>& extreme, double value,
+                    Better better) {
+  // sp-sync: relaxed CAS; the slot only ever moves toward `better`, and
+  // snapshot() reads it once with no ordering against other slots.
+  double seen = extreme.load(std::memory_order_relaxed);
+  while (better(value, seen) &&
+         !extreme.compare_exchange_weak(seen, value,
+                                        std::memory_order_relaxed)) {
   }
-};
-
-Shard* local_shard(const std::shared_ptr<State>& state) {
-  thread_local ShardCache cache;
-  for (const ShardCache::Entry& e : cache.entries) {
-    if (e.uid == state->uid) return e.shard;
-  }
-  Shard* shard = nullptr;
-  {
-    core::LockGuard lock(state->mu);
-    if (state->idle.empty()) {
-      state->shards.push_back(std::make_unique<Shard>());
-      shard = state->shards.back().get();
-    } else {
-      shard = state->idle.back();
-      state->idle.pop_back();
-    }
-  }
-  cache.entries.push_back({state->uid, state, shard});
-  return shard;
 }
 
 }  // namespace
@@ -181,10 +122,9 @@ Shard* local_shard(const std::shared_ptr<State>& state) {
 
 void Counter::add(std::uint64_t delta) const noexcept {
   if (!enabled() || state_ == nullptr) return;
-  // sp-sync: relaxed increment on a single-writer shard slot; snapshot()
-  // sums slots and tolerates a slightly-stale per-thread value.
-  detail::local_shard(state_)->counters[id_].fetch_add(
-      delta, std::memory_order_relaxed);
+  // sp-sync: relaxed increment of a slot all writers share; snapshot()
+  // reads each slot once and tolerates a slightly stale value.
+  state_->counters[id_].fetch_add(delta, std::memory_order_relaxed);
 }
 
 void Gauge::set(double value) const noexcept {
@@ -196,68 +136,59 @@ void Gauge::set(double value) const noexcept {
 }
 
 void HdrHistogram::observe(double value) const noexcept {
-  if (!enabled() || state_ == nullptr) return;
-  detail::Shard::HdrSlot& h = detail::local_shard(state_)->hdr[id_];
-  // sp-sync: relaxed ops on single-writer shard slots; only the owning
-  // thread writes, so load-modify-store without CAS is race-free, and
-  // snapshot() accepts slightly-stale cross-thread reads.
+  if (!enabled() || slot_ == nullptr) return;
+  detail::HdrSlot& h = *slot_;
+  // sp-sync: relaxed read-modify-writes on slots all writers share; each is
+  // atomic on its own, and a snapshot racing this call may see some of its
+  // fields updated and not others, which snapshots tolerate by contract.
   h.buckets[hdr_bucket_index(value)].fetch_add(
       1, std::memory_order_relaxed);
   h.count.fetch_add(1, std::memory_order_relaxed);
-  h.sum.store(h.sum.load(std::memory_order_relaxed) + value,
-              std::memory_order_relaxed);
-  // sp-sync: as above (single-writer slot).
-  if (value < h.min.load(std::memory_order_relaxed)) {
-    h.min.store(value, std::memory_order_relaxed);
-  }
-  if (value > h.max.load(std::memory_order_relaxed)) {
-    h.max.store(value, std::memory_order_relaxed);
-  }
+  h.sum.fetch_add(value, std::memory_order_relaxed);
+  detail::update_extreme(h.min, value, std::less<>());
+  detail::update_extreme(h.max, value, std::greater<>());
 }
 
-Registry::Registry() {
-  static std::atomic<std::uint64_t> next_uid{1};
-  // sp-sync: relaxed uid allocation; uniqueness is all that matters and
-  // fetch_add provides it at any memory order.
-  state_ = std::make_shared<detail::State>(
-      next_uid.fetch_add(1, std::memory_order_relaxed));
-}
+Registry::Registry() : state_(std::make_shared<detail::State>()) {}
 
 Registry::~Registry() = default;
 
 Counter Registry::counter(std::string_view name) {
-  const std::size_t id = detail::register_name(
-      *state_, state_->counter_names, kMaxCounters, name, "counter");
-  return Counter(state_, id);
+  core::LockGuard lock(state_->mu);
+  return Counter(state_, detail::register_name(state_->counter_names,
+                                               kMaxCounters, name, "counter"));
 }
 
 Gauge Registry::gauge(std::string_view name) {
-  const std::size_t id = detail::register_name(
-      *state_, state_->gauge_names, kMaxGauges, name, "gauge");
-  return Gauge(state_, id);
+  core::LockGuard lock(state_->mu);
+  return Gauge(state_, detail::register_name(state_->gauge_names, kMaxGauges,
+                                             name, "gauge"));
 }
 
 HdrHistogram Registry::hdr_histogram(std::string_view name) {
-  const std::size_t id =
-      detail::register_name(*state_, state_->hdr_names, kMaxHdrHistograms,
-                            name, "hdr histogram");
-  return HdrHistogram(state_, id);
+  core::LockGuard lock(state_->mu);
+  const std::size_t id = detail::register_name(
+      state_->hdr_names, kMaxHdrHistograms, name, "hdr histogram");
+  if (id == state_->hdr.size()) {
+    state_->hdr.push_back(std::make_unique<detail::HdrSlot>());
+  }
+  // Aliasing pointer: shares ownership of the state, points at its slot.
+  return HdrHistogram(
+      std::shared_ptr<detail::HdrSlot>(state_, state_->hdr[id].get()));
 }
 
 Snapshot Registry::snapshot() const {
   Snapshot snap;
   core::LockGuard lock(state_->mu);
 
-  // sp-sync: relaxed reads of single-writer slots throughout this
-  // function; a snapshot is an instantaneous best-effort sum by contract
-  // (writers keep recording while we read), so no acquire pairing exists.
+  // sp-sync: relaxed reads throughout this function; a snapshot is a
+  // best-effort view by contract (writers keep recording while we read),
+  // so no acquire pairing exists.
   snap.counters.reserve(state_->counter_names.size());
   for (std::size_t i = 0; i < state_->counter_names.size(); ++i) {
-    std::uint64_t total = 0;
-    for (const auto& shard : state_->shards) {
-      total += shard->counters[i].load(std::memory_order_relaxed);
-    }
-    snap.counters.emplace_back(state_->counter_names[i], total);
+    snap.counters.emplace_back(
+        state_->counter_names[i],
+        state_->counters[i].load(std::memory_order_relaxed));
   }
 
   // sp-sync: as above (best-effort snapshot reads).
@@ -268,32 +199,20 @@ Snapshot Registry::snapshot() const {
         state_->gauges[i].load(std::memory_order_relaxed));
   }
 
-  std::vector<std::uint64_t> merged;
   for (std::size_t i = 0; i < state_->hdr_names.size(); ++i) {
+    const detail::HdrSlot& sh = *state_->hdr[i];
     HdrHistogramSnapshot h;
     h.name = state_->hdr_names[i];
-    h.min = kInf;
-    h.max = -kInf;
-    merged.assign(kHdrBuckets, 0);
     // sp-sync: as above (best-effort snapshot reads).
-    for (const auto& shard : state_->shards) {
-      const detail::Shard::HdrSlot& sh = shard->hdr[i];
-      h.count += sh.count.load(std::memory_order_relaxed);
-      h.sum += sh.sum.load(std::memory_order_relaxed);
-      h.min = std::min(h.min, sh.min.load(std::memory_order_relaxed));
-      h.max = std::max(h.max, sh.max.load(std::memory_order_relaxed));
-      for (std::size_t b = 0; b < kHdrBuckets; ++b) {
-        merged[b] += sh.buckets[b].load(std::memory_order_relaxed);
-      }
-    }
-    if (h.count == 0) {
-      h.min = 0.0;
-      h.max = 0.0;
+    h.count = sh.count.load(std::memory_order_relaxed);
+    h.sum = sh.sum.load(std::memory_order_relaxed);
+    if (h.count != 0) {
+      h.min = sh.min.load(std::memory_order_relaxed);
+      h.max = sh.max.load(std::memory_order_relaxed);
     }
     for (std::size_t b = 0; b < kHdrBuckets; ++b) {
-      if (merged[b] != 0) {
-        h.buckets.emplace_back(static_cast<std::uint32_t>(b), merged[b]);
-      }
+      const std::uint64_t n = sh.buckets[b].load(std::memory_order_relaxed);
+      if (n != 0) h.buckets.emplace_back(static_cast<std::uint32_t>(b), n);
     }
     snap.hdr_histograms.push_back(std::move(h));
   }
@@ -312,9 +231,16 @@ Snapshot Registry::snapshot() const {
 
 void Registry::reset() {
   core::LockGuard lock(state_->mu);
-  for (const auto& shard : state_->shards) shard->zero();
   // sp-sync: relaxed stores; reset is best-effort against concurrent
   // writers by the same contract as snapshot().
+  for (auto& c : state_->counters) c.store(0, std::memory_order_relaxed);
+  for (const auto& h : state_->hdr) {
+    for (auto& b : h->buckets) b.store(0, std::memory_order_relaxed);
+    h->count.store(0, std::memory_order_relaxed);
+    h->sum.store(0.0, std::memory_order_relaxed);
+    h->min.store(kInf, std::memory_order_relaxed);
+    h->max.store(-kInf, std::memory_order_relaxed);
+  }
   for (auto& g : state_->gauges) g.store(0.0, std::memory_order_relaxed);
   for (auto& f : state_->gauge_set) f.store(false, std::memory_order_relaxed);
 }

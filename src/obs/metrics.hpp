@@ -3,13 +3,13 @@
 // histograms behind a process-wide enable switch.
 //
 // Design:
-//  * Hot-path writes go to lock-free per-thread shards: each shard is only
-//    ever written by its owning thread (relaxed atomics so readers can merge
-//    concurrently), so threads running side by side (batch pumps, race
-//    lanes, shard sub-solves) never contend on a cache line. A thread's
-//    shard passes to the next new writer when it exits, so short-lived
-//    threads do not grow the registry. Snapshots merge all shards under a
-//    mutex.
+//  * One set of relaxed atomics per registry, shared by every writer
+//    thread: counters, HDR buckets and counts take a fetch_add, the HDR
+//    sum a floating-point fetch_add, min and max a compare-exchange loop,
+//    and gauges a store. Hot paths write once per scan, DP call or move,
+//    too rarely for threads running side by side (batch pumps, race lanes,
+//    shard sub-solves) to contend. Snapshots read each slot once under
+//    the registry mutex.
 //  * Every write path is a no-op while obs is disabled (the default). The
 //    only residual cost in instrumented code is one relaxed atomic load and
 //    a well-predicted branch, which keeps solvers within the "zero overhead
@@ -36,7 +36,7 @@ namespace sectorpack::obs {
 [[nodiscard]] bool enabled() noexcept;
 void set_enabled(bool on) noexcept;
 
-// Per-thread shards are fixed-size arrays so writers never race a
+// Counter and gauge slots are fixed-size arrays so writers never race a
 // reallocation; registering more names than a limit throws std::length_error.
 inline constexpr std::size_t kMaxCounters = 128;
 inline constexpr std::size_t kMaxGauges = 64;
@@ -66,6 +66,7 @@ inline constexpr std::size_t kHdrBuckets = kHdrOctaves << kHdrSubBits;
 
 namespace detail {
 struct State;
+struct HdrSlot;
 }  // namespace detail
 
 struct HdrHistogramSnapshot {
@@ -84,8 +85,8 @@ struct HdrHistogramSnapshot {
   [[nodiscard]] double quantile(double q) const noexcept;
 };
 
-/// A merged, point-in-time view of a Registry. Counters and gauges are
-/// sorted by name; unset gauges are omitted.
+/// A point-in-time view of a Registry. Counters and gauges are sorted by
+/// name; unset gauges are omitted.
 struct Snapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;
@@ -138,10 +139,11 @@ class HdrHistogram {
 
  private:
   friend class Registry;
-  HdrHistogram(std::shared_ptr<detail::State> state, std::size_t id) noexcept
-      : state_(std::move(state)), id_(id) {}
-  std::shared_ptr<detail::State> state_;
-  std::size_t id_ = 0;
+  // Points at this histogram's slot and shares ownership of the registry
+  // state that holds it.
+  explicit HdrHistogram(std::shared_ptr<detail::HdrSlot> slot) noexcept
+      : slot_(std::move(slot)) {}
+  std::shared_ptr<detail::HdrSlot> slot_;
 };
 
 class Registry {
@@ -157,8 +159,9 @@ class Registry {
   [[nodiscard]] Gauge gauge(std::string_view name);
   [[nodiscard]] HdrHistogram hdr_histogram(std::string_view name);
 
-  /// Merge all shards into a point-in-time view. Safe to call while other
-  /// threads keep writing (their in-flight writes may or may not be seen).
+  /// Read every registered slot into a point-in-time view. Safe to call
+  /// while other threads keep writing (their in-flight writes may or may
+  /// not be seen).
   [[nodiscard]] Snapshot snapshot() const;
 
   /// Zero every recorded value; names stay registered.

@@ -10,8 +10,8 @@
 //
 // Thread model: record() is called from engine worker threads and takes one
 // short mutex (append to a preallocated ring); summary()/publish() are
-// called rarely (drain, export ticks). This is intentionally simpler than
-// the obs shard discipline -- the per-request cost is one lock around a few
+// called rarely (drain, export ticks). Unlike the registry's relaxed
+// atomics it takes a lock: the per-request cost is one lock around a few
 // stores, far below a solve, and a window must see writes from all threads
 // in one total order to mean anything.
 

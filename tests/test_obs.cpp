@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/knapsack/knapsack.hpp"
+#include "src/obs/exporter.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/par/parallel_for.hpp"
@@ -98,24 +99,6 @@ TEST_F(ObsTest, ConcurrentCountersFromParallelFor) {
   par::parallel_for(n, 4, [&](std::size_t) { c.inc(); });
   const obs::Snapshot snap = reg.snapshot();
   EXPECT_EQ(snap.counter("test.parallel"), n);
-}
-
-TEST_F(ObsTest, ShardsOfExitedThreadsKeepTheirCounts) {
-  // Every fan-out starts new threads; from the second round on they adopt
-  // the shards earlier threads left behind, on top of the counts in them.
-  obs::Registry reg;
-  const obs::Counter c = reg.counter("test.rounds");
-  const obs::HdrHistogram h = reg.hdr_histogram("test.rounds_ms");
-  for (int round = 0; round < 20; ++round) {
-    par::parallel_for(8, 4, [&](std::size_t) {
-      c.inc();
-      h.observe(2.0);
-    });
-  }
-  const obs::Snapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.counter("test.rounds"), 160u);
-  ASSERT_NE(snap.hdr_histogram("test.rounds_ms"), nullptr);
-  EXPECT_EQ(snap.hdr_histogram("test.rounds_ms")->count, 160u);
 }
 
 TEST_F(ObsTest, ResetZeroesValuesKeepsNames) {
@@ -341,21 +324,45 @@ TEST_F(ObsTest, HdrDisabledAndDefaultHandlesAreSafe) {
 }
 
 TEST_F(ObsTest, HdrConcurrentObservationsMerge) {
-  obs::Registry reg;
-  const obs::HdrHistogram h = reg.hdr_histogram("test.hdr_par");
+  // Eighths sum exactly in a double in any order, so the snapshot of four
+  // threads' observations must print the bytes of one thread's. 0 and 1e12
+  // land in the clamping first and last buckets.
   const std::size_t n = 100000;
-  par::parallel_for(n, 4, [&](std::size_t i) {
-    h.observe(static_cast<double>(1 + i % 1000));
-  });
+  const auto value = [](std::size_t i) {
+    if (i == 1) return 1e12;
+    return static_cast<double>(i % 8000) / 8.0;
+  };
+  std::uint64_t eighths = 0;
+  for (std::size_t i = 2; i < n; ++i) eighths += i % 8000;
+  const double sum = 1e12 + static_cast<double>(eighths) / 8.0;
+
+  obs::Registry reg;
+  obs::Registry serial_reg;
+  // Registered on both sides, never written.
+  (void)reg.hdr_histogram("test.hdr_idle");
+  (void)serial_reg.hdr_histogram("test.hdr_idle");
+  const obs::HdrHistogram h = reg.hdr_histogram("test.hdr_par");
+  par::parallel_for(n, 4, [&](std::size_t i) { h.observe(value(i)); });
+  const obs::HdrHistogram serial = serial_reg.hdr_histogram("test.hdr_par");
+  for (std::size_t i = 0; i < n; ++i) serial.observe(value(i));
+
   const obs::Snapshot snap = reg.snapshot();
   const obs::HdrHistogramSnapshot* hs = snap.hdr_histogram("test.hdr_par");
   ASSERT_NE(hs, nullptr);
   EXPECT_EQ(hs->count, n);
-  EXPECT_DOUBLE_EQ(hs->min, 1.0);
-  EXPECT_DOUBLE_EQ(hs->max, 1000.0);
+  EXPECT_EQ(hs->sum, sum);
+  EXPECT_EQ(hs->min, 0.0);
+  EXPECT_EQ(hs->max, 1e12);
   std::uint64_t total = 0;
   for (const auto& [bucket, count] : hs->buckets) total += count;
   EXPECT_EQ(total, n);
+  EXPECT_EQ(hs->buckets.front().first, 0u);
+  EXPECT_EQ(hs->buckets.back().first, obs::kHdrBuckets - 1);
+
+  const obs::Snapshot serial_snap = serial_reg.snapshot();
+  EXPECT_EQ(snap.to_json(), serial_snap.to_json());
+  EXPECT_EQ(snap.to_text(), serial_snap.to_text());
+  EXPECT_EQ(obs::to_prometheus(snap), obs::to_prometheus(serial_snap));
 }
 
 TEST_F(ObsTest, HdrResetZeroesValuesKeepsRegistration) {
@@ -389,9 +396,9 @@ TEST_F(ObsTest, HdrSnapshotJsonAndText) {
 }
 
 // ---------------------------------------------------------------------------
-// Gauge merge across threads (regression for the shard-merge design: gauges
-// live in shared State with one atomic cell, so the snapshot value is the
-// last write in wall-clock order, never a function of registration order).
+// Gauges across threads: each gauge is one atomic cell in the registry, so
+// the snapshot value is the last write in wall-clock order, never a
+// function of which thread wrote first.
 
 TEST_F(ObsTest, GaugeConcurrentWritesYieldOneWrittenValue) {
   obs::Registry reg;
@@ -409,15 +416,14 @@ TEST_F(ObsTest, GaugeConcurrentWritesYieldOneWrittenValue) {
   }
   for (std::thread& t : threads) t.join();
   // Whichever thread wrote last wins; the value must be one of the written
-  // values, never a blend or a stale per-shard default.
+  // values, never a blend or the unset default.
   const obs::Snapshot snap = reg.snapshot();
   ASSERT_EQ(snap.gauges.size(), 1u);
   const double v = snap.gauges[0].second;
   EXPECT_GE(v, 1.0);
   EXPECT_LE(v, 8.0);
   EXPECT_DOUBLE_EQ(v, std::floor(v));
-  // A write after all joins is the definitive last write and must win
-  // regardless of which thread's shard "registered" first.
+  // A write after all joins is the definitive last write and must win.
   g.set(-7.5);
   EXPECT_DOUBLE_EQ(reg.snapshot().gauges[0].second, -7.5);
 }

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -168,10 +169,11 @@ TEST_F(ObsExportTest, ExporterWritesJsonlAndPromAndStopsCleanly) {
 TEST_F(ObsExportTest, ExporterStopWhileTickMidWrite) {
   // Teardown race: stop() arrives while the export thread is likely
   // mid-tick (0.01 s interval, the minimum) and while a writer keeps
-  // mutating the registry being snapshotted. stop() must wake the
-  // in-flight wait, let a mid-write tick finish, run the final export,
-  // and join; under TSan any regression in the stop/tick handshake or in
-  // Registry::snapshot's locking fails this test.
+  // mutating the registry being snapshotted, a counter and a histogram's
+  // buckets, sum, min and max alike. stop() must wake the in-flight wait,
+  // let a mid-write tick finish, run the final export, and join; under
+  // TSan any regression in the stop/tick handshake, in
+  // Registry::snapshot's locking or in a racing write fails this test.
   obs::Registry reg;
   const std::string dir = ::testing::TempDir();
   const std::string prom = dir + "obs_exporter_midtick.prom";
@@ -186,7 +188,11 @@ TEST_F(ObsExportTest, ExporterStopWhileTickMidWrite) {
   std::atomic<bool> quit{false};
   std::thread writer([&] {
     obs::Counter racing = reg.counter("exp.midtick");
-    while (!quit.load(std::memory_order_acquire)) racing.add(1);
+    obs::HdrHistogram racing_ms = reg.hdr_histogram("exp.midtick_ms");
+    for (std::uint64_t i = 0; !quit.load(std::memory_order_acquire); ++i) {
+      racing.add(1);
+      racing_ms.observe(static_cast<double>(i % 1000));
+    }
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
   exporter.stop();
@@ -197,6 +203,8 @@ TEST_F(ObsExportTest, ExporterStopWhileTickMidWrite) {
   EXPECT_GE(exporter.ticks(), 1u);
   // The final export landed a complete exposition despite the race.
   EXPECT_NE(slurp(prom).find("sectorpack_exp_midtick"), std::string::npos);
+  EXPECT_NE(slurp(prom).find("sectorpack_exp_midtick_ms_count"),
+            std::string::npos);
 }
 
 TEST_F(ObsExportTest, ExporterInertWithoutPaths) {
