@@ -8,10 +8,12 @@
 // Three flat-vs-indexed pairs per size (eligibility, single-antenna solve,
 // sectors greedy) are timed with the crossover pinned via
 // set_spatial_index_mode; outputs are bit-identical by construction (tested
-// in test_polar_grid.cpp), so this bench measures time only. The grid build
-// is prewarmed and reported as its own metric: it is paid once per instance
-// and amortized over every query a real solve performs, and folding it into
-// one arbitrary repetition would just add noise.
+// in test_polar_grid.cpp), so this bench measures time only. "Flat" is the
+// band path: each antenna's sector test over its radial band. The band
+// table and the grid are prewarmed and their builds reported as metrics of
+// their own: each is paid once per instance and amortized over every query
+// a real solve performs, and folding it into one arbitrary repetition would
+// just add noise.
 //
 // The shard solve is timed against the indexed greedy. Honesty note: on a
 // single-core host the shard speedup is ~1.0 (it trades seam loss for
@@ -96,36 +98,17 @@ int main() {
     const std::string tag = "_n" + std::to_string(n);
     const model::Instance inst = huge_instance(n, 42 + n);
 
-    // Grid build, paid once per instance and reported separately (the
-    // queries below run against the warm cache, as every solve after the
-    // first query does).
+    // Band table and grid builds, paid once per instance and reported
+    // separately (the queries below run against the warm caches, as every
+    // solve after the first query does).
+    bench_util::Timer band_timer;
+    (void)inst.band(0);
+    report.metric("band_build" + tag + ".ms", band_timer.elapsed_ms());
     bench_util::Timer build_timer;
     (void)inst.polar_grid();
-    const double build_ms = build_timer.elapsed_ms();
-    report.metric("grid_build" + tag + ".ms", build_ms);
+    report.metric("grid_build" + tag + ".ms", build_timer.elapsed_ms());
 
-    // The query primitive itself: one radial-band query per antenna, the
-    // operation every adopter's inner loop performs. This is where the
-    // index's asymptotic win shows undiluted by per-solve fixed costs
-    // (solution allocation, window evaluation) that both paths share.
-    {
-      std::vector<std::size_t> out;
-      const Pair p = time_modes(reps, [&] {
-        for (std::size_t j = 0; j < inst.num_antennas(); ++j) {
-          inst.in_range_customers(j, out);
-        }
-      });
-      report.metric("query" + tag + ".flat.median_ms", p.flat.median_ms);
-      report.metric("query" + tag + ".indexed.median_ms",
-                    p.indexed.median_ms);
-      report.metric("query" + tag + ".speedup_median", speedup(p));
-      table.add_row({bench_util::cell(n), "query",
-                     bench_util::cell(p.flat.median_ms, 3),
-                     bench_util::cell(p.indexed.median_ms, 3),
-                     bench_util::cell(speedup(p), 2)});
-    }
-
-    // Eligibility: k sector queries vs k full scans.
+    // Eligibility: k sector queries vs k band scans.
     std::vector<double> alphas(inst.num_antennas(), 0.5);
     {
       const Pair p = time_modes(

@@ -49,7 +49,8 @@
 #              sanitized 10^5-customer instance solved with --spatial flat
 #              and --spatial index must produce byte-identical solution
 #              files and summary lines (and so must local search on a
-#              10^5-customer mixed annular fleet), `sectorpack bound`
+#              10^5-customer mixed annular fleet, and annealing on it under
+#              --spatial flat, index and auto), `sectorpack bound`
 #              must order trivial >= orientation-free >= flow-window >=
 #              the greedy served value, and the shard solver's output must
 #              pass the named-invariant verifier and be byte-identical
@@ -819,6 +820,30 @@ PYEOF
   fi
   expect_rc 0 "$CLI" verify --in "$TMP/mixed.inst" \
     --solution "$TMP/mixed_flat.sol"
+
+  # Annealing's 2000 iterations each ask compute_eligibility for one
+  # orientation vector: `flat` answers every one from the radial bands,
+  # `index` every one from the polar grid, and `auto` switches from the
+  # bands to the grid at the 33rd. All three must write the same solution
+  # file and summary line.
+  local mode
+  for mode in flat index auto; do
+    expect_rc 0 "$CLI" solve --in "$TMP/mixed.inst" --solver annealing \
+      --spatial "$mode" -o "$TMP/anneal_$mode.sol"
+    cp "$TMP/err" "$TMP/anneal_$mode.err"
+  done
+  for mode in index auto; do
+    if ! cmp -s "$TMP/anneal_flat.sol" "$TMP/anneal_$mode.sol" ||
+       ! cmp -s "$TMP/anneal_flat.err" "$TMP/anneal_$mode.err"; then
+      echo "FAIL: mixed fleet annealing: --spatial flat and" \
+           "--spatial $mode differ" >&2
+      diff "$TMP/anneal_flat.sol" "$TMP/anneal_$mode.sol" | head -20 >&2
+      diff "$TMP/anneal_flat.err" "$TMP/anneal_$mode.err" >&2
+      exit 1
+    fi
+  done
+  expect_rc 0 "$CLI" verify --in "$TMP/mixed.inst" \
+    --solution "$TMP/anneal_flat.sol"
 
   # Shard solve: feasible, verifiable output at scale (the merge/repair
   # path is seam-dependent, so no byte comparison against plain greedy).

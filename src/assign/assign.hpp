@@ -20,16 +20,22 @@ namespace sectorpack::assign {
 // customers unserved, and return a feasible partial assignment with
 // Solution::status == kBudgetExhausted.
 
-/// Which antennas can see which customers under the given orientations.
+/// Which customers each antenna can see under the given orientations.
 struct Eligibility {
   /// per_antenna[j] = ascending customer indices inside antenna j's sector.
   std::vector<std::vector<std::size_t>> per_antenna;
-  /// per_customer[i] = ascending antenna indices whose sector contains i.
-  std::vector<std::vector<std::int32_t>> per_customer;
 };
 
+/// Tests antenna j's oriented sector over its radial band
+/// (Instance::band), or asks the polar grid when Instance::spatial_index
+/// returns it; both give exactly the customers Sector::contains accepts.
 [[nodiscard]] Eligibility compute_eligibility(const model::Instance& inst,
                                               std::span<const double> alphas);
+
+/// The transpose of e.per_antenna over `num_customers` customers: entry i
+/// lists, ascending, the antennas whose sector contains customer i.
+[[nodiscard]] std::vector<std::vector<std::int32_t>> per_customer(
+    const Eligibility& e, std::size_t num_customers);
 
 /// Greedy demand-descending best-fit: customers in decreasing demand order,
 /// each placed on the eligible antenna with the largest residual capacity

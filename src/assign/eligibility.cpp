@@ -12,33 +12,33 @@ Eligibility compute_eligibility(const model::Instance& inst,
   }
   Eligibility e;
   e.per_antenna.resize(inst.num_antennas());
-  e.per_customer.resize(inst.num_customers());
-  if (const geom::PolarGrid* grid = inst.spatial_index()) {
-    // Indexed path: each antenna's sector query returns the covered
-    // customers ascending, and antennas are processed in ascending j --
-    // the same (i, j) visit order as the flat double loop, so both the
-    // per_antenna and per_customer lists come out identical to it.
-    std::vector<std::size_t> covered;
-    for (std::size_t j = 0; j < inst.num_antennas(); ++j) {
-      grid->collect_sector(inst.sector(j, alphas[j]), covered);
-      e.per_antenna[j].reserve(covered.size());
-      for (std::size_t i : covered) {
-        e.per_antenna[j].push_back(i);
-        e.per_customer[i].push_back(static_cast<std::int32_t>(j));
-      }
-    }
-    return e;
-  }
+  const geom::PolarGrid* grid = inst.spatial_index();
   for (std::size_t j = 0; j < inst.num_antennas(); ++j) {
     const geom::Sector sec = inst.sector(j, alphas[j]);
-    for (std::size_t i = 0; i < inst.num_customers(); ++i) {
+    if (grid != nullptr) {
+      grid->collect_sector(sec, e.per_antenna[j]);
+      continue;
+    }
+    // A customer outside j's band fails the sector's radial test, so
+    // testing the band alone finds every member, in ascending order.
+    for (const std::size_t i : inst.band(j)) {
       if (sec.contains(geom::Polar{inst.theta(i), inst.radius(i)})) {
         e.per_antenna[j].push_back(i);
-        e.per_customer[i].push_back(static_cast<std::int32_t>(j));
       }
     }
   }
   return e;
+}
+
+std::vector<std::vector<std::int32_t>> per_customer(const Eligibility& e,
+                                                    std::size_t num_customers) {
+  std::vector<std::vector<std::int32_t>> lists(num_customers);
+  for (std::size_t j = 0; j < e.per_antenna.size(); ++j) {
+    for (const std::size_t i : e.per_antenna[j]) {
+      lists[i].push_back(static_cast<std::int32_t>(j));
+    }
+  }
+  return lists;
 }
 
 }  // namespace sectorpack::assign

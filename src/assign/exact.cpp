@@ -11,7 +11,7 @@ namespace {
 
 struct ExactState {
   const model::Instance* inst = nullptr;
-  const Eligibility* elig = nullptr;
+  const std::vector<std::vector<std::int32_t>>* eligible = nullptr;
   std::vector<std::size_t> order;     // customers, demand descending
   std::vector<double> suffix_value;   // sum of values of order[pos..]
   std::vector<double> suffix_density; // max value/demand over order[pos..]
@@ -57,7 +57,7 @@ struct ExactState {
     const std::size_t i = order[pos];
     const double d = inst->demand(i);
     const double v = inst->value(i);
-    for (std::int32_t j : elig->per_customer[i]) {
+    for (std::int32_t j : (*eligible)[i]) {
       const auto ju = static_cast<std::size_t>(j);
       if (residual[ju] < d) continue;
       residual[ju] -= d;
@@ -78,11 +78,12 @@ model::Solution solve_exact(const model::Instance& inst,
                             std::span<const double> alphas,
                             std::uint64_t node_limit,
                             const core::SolveOptions& opts) {
-  const Eligibility elig = compute_eligibility(inst, alphas);
+  const std::vector<std::vector<std::int32_t>> eligible =
+      per_customer(compute_eligibility(inst, alphas), inst.num_customers());
 
   ExactState st;
   st.inst = &inst;
-  st.elig = &elig;
+  st.eligible = &eligible;
   st.node_limit = node_limit;
   st.deadline = opts.deadline;
   st.order.resize(inst.num_customers());

@@ -10,7 +10,8 @@ model::Solution solve_greedy(const model::Instance& inst,
                              std::span<const double> alphas,
                              const core::SolveOptions& opts) {
   const core::Deadline& deadline = opts.deadline;
-  const Eligibility elig = compute_eligibility(inst, alphas);
+  const std::vector<std::vector<std::int32_t>> eligible =
+      per_customer(compute_eligibility(inst, alphas), inst.num_customers());
 
   model::Solution sol = model::Solution::empty_for(inst);
   sol.alpha.assign(alphas.begin(), alphas.end());
@@ -43,7 +44,7 @@ model::Solution solve_greedy(const model::Instance& inst,
     const double d = inst.demand(i);
     std::int32_t best = model::kUnserved;
     double best_residual = -1.0;
-    for (std::int32_t j : elig.per_customer[i]) {
+    for (std::int32_t j : eligible[i]) {
       const auto ju = static_cast<std::size_t>(j);
       if (residual[ju] >= d && residual[ju] > best_residual) {
         best_residual = residual[ju];

@@ -86,6 +86,8 @@ model::Solution solve_lp_rounding(const model::Instance& inst,
   // Phase 2: repair -- place every remaining customer by demand-descending
   // best fit into the remaining capacity (not just the LP-fractional ones:
   // capacity the LP left idle is still capacity).
+  const std::vector<std::vector<std::int32_t>> eligible =
+      per_customer(elig, n);
   std::sort(leftover.begin(), leftover.end(),
             [&](std::size_t a, std::size_t b) {
               if (inst.demand(a) != inst.demand(b)) {
@@ -98,7 +100,7 @@ model::Solution solve_lp_rounding(const model::Instance& inst,
     const double d = inst.demand(i);
     std::int32_t best = model::kUnserved;
     double best_residual = -1.0;
-    for (std::int32_t j : elig.per_customer[i]) {
+    for (std::int32_t j : eligible[i]) {
       const auto ju = static_cast<std::size_t>(j);
       if (residual[ju] >= d && residual[ju] > best_residual) {
         best_residual = residual[ju];

@@ -76,10 +76,9 @@ double orientation_free_bound(const model::Instance& inst) {
   // W_j already enforces the capacity, so it needs no clamp (for weighted
   // instances value and capacity are in different units anyway).
   double per_antenna_total = 0.0;
-  std::vector<std::size_t> band;
   for (std::size_t j = 0; j < inst.num_antennas(); ++j) {
-    inst.in_range_customers(j, band);
-    per_antenna_total += best_window_value(inst, inst.antenna(j), band);
+    per_antenna_total +=
+        best_window_value(inst, inst.antenna(j), inst.band(j));
   }
   return std::min(inst.total_value(), per_antenna_total);
 }
@@ -95,9 +94,8 @@ double flow_window_bound(const model::Instance& inst,
   const std::size_t n = inst.num_customers();
   const std::size_t k = inst.num_antennas();
 
-  // Per-antenna ceiling min(capacity, W_j), over the in-range list that the
-  // flow arcs below reuse.
-  std::vector<std::vector<std::size_t>> bands(k);
+  // Per-antenna ceiling min(capacity, W_j), over the band that the flow
+  // arcs below reuse.
   std::vector<double> ceiling(k, 0.0);
   std::vector<std::size_t> node(n, 0);  // flow node of customer i; 0: none
   for (std::size_t j = 0; j < k; ++j) {
@@ -109,9 +107,9 @@ double flow_window_bound(const model::Instance& inst,
       return trivial_bound(inst);
     }
     const model::AntennaSpec& ant = inst.antenna(j);
-    inst.in_range_customers(j, bands[j]);
-    ceiling[j] = std::min(ant.capacity, best_window_value(inst, ant, bands[j]));
-    for (std::size_t i : bands[j]) node[i] = 1;
+    const std::span<const std::size_t> band = inst.band(j);
+    ceiling[j] = std::min(ant.capacity, best_window_value(inst, ant, band));
+    for (std::size_t i : band) node[i] = 1;
   }
 
   // Flow: source -> customer (demand) -> in-range antenna -> sink (ceiling).
@@ -131,7 +129,7 @@ double flow_window_bound(const model::Instance& inst,
   }
   for (std::size_t j = 0; j < k; ++j) {
     const std::size_t antenna = reached + 1 + j;
-    for (std::size_t i : bands[j]) flow.add_edge(node[i], antenna, kInf);
+    for (std::size_t i : inst.band(j)) flow.add_edge(node[i], antenna, kInf);
     flow.add_edge(antenna, sink, ceiling[j]);
   }
   const double value = flow.max_flow(source, sink, deadline);

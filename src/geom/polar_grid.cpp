@@ -26,16 +26,6 @@ std::atomic<SpatialIndexMode> g_spatial_mode{SpatialIndexMode::kAuto};
   c_cells.add(wedges * rings);
 }
 
-[[gnu::noinline]] void record_annulus_query(std::size_t tested,
-                                            std::size_t results) {
-  static const obs::Counter c_queries = obs::counter("grid.queries.annulus");
-  static const obs::Counter c_tested = obs::counter("grid.candidates");
-  static const obs::Counter c_results = obs::counter("grid.results");
-  c_queries.inc();
-  c_tested.add(tested);
-  c_results.add(results);
-}
-
 [[gnu::noinline]] void record_sector_query(std::size_t tested,
                                            std::size_t results) {
   static const obs::Counter c_queries = obs::counter("grid.queries.sector");
@@ -81,12 +71,12 @@ PolarGrid::PolarGrid(std::span<const double> thetas,
 
   // Auto-tuning. Wedges: ~sqrt(n), power of two so the candidate-wedge walk
   // of narrow arcs stays short relative to a whole ring. Rings: keep mean
-  // cell occupancy around 8 points -- boundary rings are scanned in full by
-  // annulus queries, so ring thickness (n / rings) bounds the per-query
-  // candidate count and directly sets the indexed-vs-flat ratio for thin
-  // radial bands; quantile edges (below) make the occupancy hold for
-  // clustered radii too. The clamps keep degenerate sizes sane: tiny
-  // inputs only reach here under kForceIndexed.
+  // cell occupancy around 8 points -- a sector query re-tests every
+  // candidate cell of each ring its band touches, so ring thickness
+  // (n / rings) bounds the per-query candidate count for thin radial bands;
+  // quantile edges (below) make the occupancy hold for clustered radii too.
+  // The clamps keep degenerate sizes sane: tiny inputs only reach here
+  // under kForceIndexed.
   wedges_ = std::clamp<std::size_t>(next_pow2(static_cast<std::size_t>(
                                         std::sqrt(static_cast<double>(n)))),
                                     8, 1024);
@@ -149,32 +139,6 @@ std::size_t PolarGrid::wedge_of(double theta_normalized) const noexcept {
   const std::size_t w =
       static_cast<std::size_t>(theta_normalized * inv_wedge_width_);
   return w < wedges_ ? w : wedges_ - 1;
-}
-
-void PolarGrid::collect_annulus(double r_lo, double r_hi,
-                                std::vector<std::size_t>& out) const {
-  out.clear();
-  if (radii_.empty() || !(r_hi >= r_lo)) return;
-  const std::size_t k0 = ring_of(std::max(r_lo, 0.0));
-  const std::size_t k1 = ring_of(std::max(r_hi, 0.0));
-  std::size_t tested = 0;
-  for (std::size_t k = k0; k <= k1; ++k) {
-    // Interior ring: every member r satisfies edges[k] <= r < edges[k+1],
-    // so edges[k] >= r_lo and edges[k+1] <= r_hi prove the whole ring
-    // passes. The last ring is never interior (its upper edge is the +inf
-    // sentinel and may hold non-finite radii), so it is always re-tested.
-    if (k + 1 < rings_ && ring_edges_[k] >= r_lo && ring_edges_[k + 1] <= r_hi) {
-      const std::span<const std::size_t> whole = ring(k);
-      out.insert(out.end(), whole.begin(), whole.end());
-      continue;
-    }
-    for (std::size_t idx : ring(k)) {
-      ++tested;
-      if (radii_[idx] <= r_hi && radii_[idx] >= r_lo) out.push_back(idx);
-    }
-  }
-  std::sort(out.begin(), out.end());
-  record_annulus_query(tested, out.size());
 }
 
 void PolarGrid::collect_sector(const Sector& sector,

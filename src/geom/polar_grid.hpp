@@ -2,15 +2,17 @@
 // Polar grid spatial index: angular wedges x annular rings over a point set
 // given in polar coordinates.
 //
-// The solvers repeatedly answer two query shapes against the customer set:
-//   - annulus:  which customers have radius in [r_lo, r_hi]?   (in_range)
-//   - sector:   which customers does this (annular) sector cover?
-// A flat scan is O(n) per query; with n in the millions and O(k^2) queries
-// per solve that dominates everything else. The grid buckets customers into
-// W uniform angular wedges x R annular rings (ring edges at radius
+// The query it answers: which customers does this (annular) sector cover?
+// That is assign::compute_eligibility's question for each antenna at fixed
+// orientations, asked once per local-search reassignment and once per
+// annealing iteration. The radial half of it -- which customers have radius
+// in [r_lo, r_hi] -- depends on no orientation, so model::Instance answers
+// it once per instance with its band table (Instance::band), and the band
+// path then tests angles over one band. The grid instead buckets customers
+// into W uniform angular wedges x R annular rings (ring edges at radius
 // quantiles, so the median radius is an edge and clustered workloads --
-// ring roads, hotspots -- stay balanced) and answers queries by touching
-// only candidate buckets.
+// ring roads, hotspots -- stay balanced) and answers a sector query by
+// touching only the buckets its arc and band overlap.
 //
 // Bit-identity contract. Grid queries are *conservative bucket pruning plus
 // the exact flat predicate*: candidate buckets are chosen so that every
@@ -19,9 +21,7 @@
 // flat scan performs, and results are returned in ascending point index --
 // the exact vector the flat loop produces. Downstream solver behavior is
 // therefore independent of which path ran; the crossover below is purely a
-// performance knob. Rings whose full radial extent lies inside the query
-// band are appended wholesale (every member provably passes the radial
-// predicate), which is where the asymptotic win comes from.
+// performance knob.
 //
 // Lifetime: the grid stores *views* of the theta/radius arrays it was built
 // over; the caller keeps those arrays alive and unchanged (model::Instance
@@ -37,10 +37,12 @@
 
 namespace sectorpack::geom {
 
-/// Global crossover control for every flat-vs-indexed call site. kAuto uses
-/// the size threshold below; the force modes pin one path (outputs are
-/// bit-identical either way, so this is safe as a process-wide setting --
-/// it exists for benchmarks, tests, and the check.sh byte-identity gate).
+/// Global crossover control for the two flat-vs-indexed call sites: the
+/// sector query (the band path or the grid, model::Instance::spatial_index)
+/// and WindowSweep's sort. kAuto uses the size threshold below; the force
+/// modes pin one path (outputs are bit-identical either way, so this is
+/// safe as a process-wide setting -- it exists for benchmarks, tests, and
+/// the check.sh byte-identity gate).
 enum class SpatialIndexMode { kAuto, kForceFlat, kForceIndexed };
 
 void set_spatial_index_mode(SpatialIndexMode mode) noexcept;
@@ -58,11 +60,11 @@ inline constexpr std::size_t kSpatialIndexMinCustomers = 4096;
 [[nodiscard]] bool use_spatial_index(std::size_t n) noexcept;
 
 /// Build deferral under kAuto (model::Instance::spatial_index): an
-/// instance's grid is built only after this many queries ran flat, so a
-/// one-shot solve never pays the O(n log n) build for a handful of O(n)
-/// scans. Ski-rental: by the time the build happens, at most ~this many
-/// scans were "wasted", within a constant factor of the offline-optimal
-/// choice whatever the final query count turns out to be.
+/// instance's grid is built only after this many sector queries ran on the
+/// band path, so a one-shot solve never pays the O(n log n) build for a
+/// handful of band scans. Ski-rental: by the time the build happens, at
+/// most ~this many scans were "wasted", within a constant factor of the
+/// offline-optimal choice whatever the final query count turns out to be.
 inline constexpr std::uint32_t kGridBuildAfterQueries = 32;
 
 class PolarGrid {
@@ -81,27 +83,13 @@ class PolarGrid {
   [[nodiscard]] std::size_t num_rings() const noexcept { return rings_; }
 
   /// Point indices of one (ring, wedge) cell, ascending. The cell iterator
-  /// primitive the collect_* queries are built on; exposed for tests and
-  /// for callers that want custom bucket walks.
+  /// primitive collect_sector is built on; exposed for tests and for
+  /// callers that want custom bucket walks.
   [[nodiscard]] std::span<const std::size_t> cell(std::size_t ring,
                                                   std::size_t wedge) const {
     const std::size_t c = ring * wedges_ + wedge;
     return {items_.data() + cell_start_[c], cell_start_[c + 1] - cell_start_[c]};
   }
-
-  /// All point indices of one ring (its wedge cells concatenated; ascending
-  /// only within each cell).
-  [[nodiscard]] std::span<const std::size_t> ring(std::size_t k) const {
-    return {items_.data() + cell_start_[k * wedges_],
-            cell_start_[(k + 1) * wedges_] - cell_start_[k * wedges_]};
-  }
-
-  /// Indices i with radii[i] <= r_hi && radii[i] >= r_lo -- the exact
-  /// comparisons of model::Instance::in_range when the caller passes
-  /// r_hi = range * (1 + kRadiusEps), r_lo = min_range * (1 - kRadiusEps).
-  /// `out` is cleared and filled ascending.
-  void collect_annulus(double r_lo, double r_hi,
-                       std::vector<std::size_t>& out) const;
 
   /// Indices i with sector.contains({thetas[i], radii[i]}) -- the exact
   /// predicate of the flat eligibility scan. `out` is cleared and filled

@@ -1,6 +1,7 @@
 #include "src/model/instance.hpp"
 
 #include <cmath>
+#include <map>
 #include <stdexcept>
 #include <utility>
 
@@ -86,10 +87,11 @@ void Instance::refold_scalars() {
 }
 
 void Instance::invalidate_spatial() noexcept {
+  bands_.reset();
   grid_.reset();
   // sp-sync: relaxed restart of the ski-rental counter; an off-by-a-few
   // build point is fine (see spatial_index()).
-  grid_.flat_queries.store(0, std::memory_order_relaxed);
+  grid_deferred_.value.store(0, std::memory_order_relaxed);
 }
 
 std::size_t Instance::add_customer(const Customer& c) {
@@ -133,25 +135,54 @@ std::size_t Instance::add_antenna(const AntennaSpec& a) {
   validate_antenna(a);
   antennas_.push_back(a);
   refold_scalars();
-  // Antenna edits leave the customer geometry alone, but the ski-rental
-  // counter amortizes queries for *this* workload shape; restarting it is
-  // the conservative reading and costs a handful of flat scans at most.
+  // The band table lacks the new antenna's band. The grid would still
+  // hold, but the ski-rental counter amortizes queries for *this* workload
+  // shape; restarting it is the conservative reading and costs a handful
+  // of band scans at most.
   invalidate_spatial();
   return antennas_.size() - 1;
 }
 
-const geom::PolarGrid& Instance::polar_grid() const {
-  const geom::PolarGrid* grid = grid_.ptr.load(std::memory_order_acquire);
-  if (grid != nullptr) return *grid;
-  auto* fresh = new geom::PolarGrid(thetas_, radii_);
-  const geom::PolarGrid* expected = nullptr;
-  if (grid_.ptr.compare_exchange_strong(expected, fresh,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_acquire)) {
-    return *fresh;
+Instance::BandTable::BandTable(std::span<const double> radii,
+                               std::span<const AntennaSpec> antennas)
+    : of(antennas.size()) {
+  // Distinct bands in order of first appearance, keyed by the two bounds
+  // in_range compares against (hoisted: the same products every time).
+  std::map<std::pair<double, double>, std::size_t> seen;
+  std::vector<std::size_t> scratch;
+  for (std::size_t j = 0; j < antennas.size(); ++j) {
+    const double lo = antennas[j].min_range * (1.0 - geom::kRadiusEps);
+    const double hi = antennas[j].range * (1.0 + geom::kRadiusEps);
+    const auto [it, fresh] = seen.emplace(std::pair{lo, hi}, lists.size());
+    of[j] = it->second;
+    if (!fresh) continue;
+    // One pass in ascending customer order. It writes every index and
+    // advances only past members, so it has no branch to mispredict (with
+    // one, the pass over thin rings took three times as long); the spare
+    // slot takes the writes after the last member.
+    scratch.resize(radii.size() + 1);
+    std::size_t* out = scratch.data();
+    for (std::size_t i = 0; i < radii.size(); ++i) {
+      *out = i;
+      out += static_cast<std::size_t>((radii[i] <= hi) & (radii[i] >= lo));
+    }
+    lists.emplace_back(scratch.data(), out);
   }
-  delete fresh;  // another thread won the race; use its grid
-  return *expected;
+}
+
+std::span<const std::size_t> Instance::band(std::size_t j) const {
+  const BandTable& t = bands_.get(radii_, antennas_);
+  return t.lists[t.of[j]];
+}
+
+void Instance::in_range_customers(std::size_t j,
+                                  std::vector<std::size_t>& out) const {
+  const std::span<const std::size_t> members = band(j);
+  out.assign(members.begin(), members.end());
+}
+
+const geom::PolarGrid& Instance::polar_grid() const {
+  return grid_.get(thetas_, radii_);
 }
 
 const geom::PolarGrid* Instance::spatial_index() const {
@@ -164,32 +195,15 @@ const geom::PolarGrid* Instance::spatial_index() const {
       break;
   }
   if (customers_.size() < geom::kSpatialIndexMinCustomers) return nullptr;
-  const geom::PolarGrid* grid = grid_.ptr.load(std::memory_order_acquire);
-  if (grid != nullptr) return grid;
-  // Deferral: answer flat until enough queries accumulated to amortize the
-  // build.
+  if (const geom::PolarGrid* grid = grid_.peek()) return grid;
+  // Deferral: answer from the bands until enough queries accumulated to
+  // amortize the build.
   // sp-sync: relaxed counter -- an off-by-a-few build point is fine.
-  if (grid_.flat_queries.fetch_add(1, std::memory_order_relaxed) <
+  if (grid_deferred_.value.fetch_add(1, std::memory_order_relaxed) <
       geom::kGridBuildAfterQueries) {
     return nullptr;
   }
   return &polar_grid();
-}
-
-void Instance::in_range_customers(std::size_t j,
-                                  std::vector<std::size_t>& out) const {
-  const AntennaSpec& a = antennas_[j];
-  if (const geom::PolarGrid* grid = spatial_index()) {
-    // Same multiplications as in_range, hoisted out of the per-customer
-    // comparisons (identical values every iteration either way).
-    grid->collect_annulus(a.min_range * (1.0 - geom::kRadiusEps),
-                          a.range * (1.0 + geom::kRadiusEps), out);
-    return;
-  }
-  out.clear();
-  for (std::size_t i = 0; i < customers_.size(); ++i) {
-    if (in_range(i, j)) out.push_back(i);
-  }
 }
 
 bool Instance::antennas_identical() const noexcept {
@@ -211,11 +225,9 @@ bool Instance::has_annular_antennas() const noexcept {
   return false;
 }
 
-bool Instance::is_angles_only() const noexcept {
+bool Instance::is_angles_only() const {
   for (std::size_t j = 0; j < antennas_.size(); ++j) {
-    for (std::size_t i = 0; i < customers_.size(); ++i) {
-      if (!in_range(i, j)) return false;
-    }
+    if (band(j).size() != customers_.size()) return false;
   }
   return true;
 }

@@ -6,6 +6,13 @@
 // range R_j and capacity c_j. A solution orients each antenna and assigns
 // each customer to at most one antenna whose (oriented) sector contains it,
 // subject to the antenna capacities; the objective is the served demand.
+//
+// Which customers antenna j can ever reach -- its radial band -- depends on
+// (min_range_j, R_j) alone, never on the orientation; only the angular test
+// moves with alpha_j. So the instance keeps one radial band table (built
+// on first use, shared by every solve of the instance), and orientation-
+// dependent queries test angles over a band instead of over all n
+// customers.
 
 #include <atomic>
 #include <cstddef>
@@ -107,27 +114,33 @@ class Instance {
   /// True when some antenna has a near-field dead zone (min_range > 0).
   [[nodiscard]] bool has_annular_antennas() const noexcept;
 
+  /// Indices of the customers in antenna j's radial band, ascending:
+  /// exactly the i with in_range(i, j). The band table behind the span is
+  /// built on first use, one pass over the radii per distinct band, and
+  /// kept until a mutator or a copy drops it; antennas with equal
+  /// (min_range, range) share one list. Thread-safe: concurrent first
+  /// callers race to publish one table (losers discard theirs). The span
+  /// stays valid until the instance is mutated, assigned or destroyed.
+  [[nodiscard]] std::span<const std::size_t> band(std::size_t j) const;
+
+  /// A copy of band(j) into `out`. Library code reads band(j); this stays
+  /// for callers that want an owned vector.
+  void in_range_customers(std::size_t j, std::vector<std::size_t>& out) const;
+
   /// The polar grid spatial index over the customers, built lazily on first
-  /// use and cached for the instance's lifetime. Thread-safe: concurrent
-  /// first callers race to publish one grid (losers discard theirs).
+  /// use and cached for the instance's lifetime. Thread-safe like band().
   [[nodiscard]] const geom::PolarGrid& polar_grid() const;
 
-  /// The grid if the crossover policy says to use it for this instance
-  /// right now, nullptr for the flat path. Under kAuto the O(n log n) build
-  /// is additionally deferred ski-rental style: the first
-  /// geom::kGridBuildAfterQueries queries run flat (each costs one O(n)
-  /// scan), and only an instance that keeps getting queried pays for a
-  /// build -- a one-shot solve on a fresh instance (e.g. a shard sub-solve)
-  /// never does. Forced modes bypass the deferral. Results are
+  /// The grid if the crossover policy says an orientation-dependent sector
+  /// query (assign::compute_eligibility) should use it right now, nullptr
+  /// for the band path. Under kAuto the O(n log n) build is additionally
+  /// deferred ski-rental style: the first geom::kGridBuildAfterQueries
+  /// calls answer nullptr, and only an instance that keeps getting queried
+  /// pays for a build -- a one-shot solve on a fresh instance (e.g. a shard
+  /// sub-solve) never does. Forced modes bypass the deferral. Results are
   /// bit-identical either way; only wall time depends on the answer.
+  /// Radial queries never come here: band() serves them in every mode.
   [[nodiscard]] const geom::PolarGrid* spatial_index() const;
-
-  /// Indices of the customers in antenna j's radial band, ascending --
-  /// exactly the i with in_range(i, j), produced by the flat scan below the
-  /// crossover threshold and by the grid above it (geom::use_spatial_index;
-  /// both paths apply the same floating-point predicate, so the output is
-  /// bit-identical either way). `out` is cleared and refilled.
-  void in_range_customers(std::size_t j, std::vector<std::size_t>& out) const;
 
   [[nodiscard]] double total_demand() const noexcept { return total_demand_; }
   [[nodiscard]] double total_value() const noexcept { return total_value_; }
@@ -146,8 +159,9 @@ class Instance {
   [[nodiscard]] bool antennas_identical() const noexcept;
 
   /// True when every customer is within every antenna's range -- the
-  /// "packing to angles" special case where radii are irrelevant.
-  [[nodiscard]] bool is_angles_only() const noexcept;
+  /// "packing to angles" special case where radii are irrelevant. Reads
+  /// (and so builds) the band table.
+  [[nodiscard]] bool is_angles_only() const;
 
   // ------------------------------------------------------------- mutators
   //
@@ -158,10 +172,11 @@ class Instance {
   // same iteration order, same summation order -- so a mutated instance is
   // *bitwise* indistinguishable from one freshly constructed from the same
   // customer/antenna records (the serve byte-identity contract rests on
-  // this). Each mutator also drops the cached spatial index and resets the
-  // ski-rental deferral counter: the grid holds views into the old SoA
-  // buffers and its bucket contents are stale after any customer edit, and
-  // a mutated instance restarts its build amortization from zero.
+  // this). Each mutator also drops the band table and the cached spatial
+  // index and resets the ski-rental deferral counter: the grid holds views
+  // into the old SoA buffers, both go stale after any customer edit (and
+  // the table after an antenna edit), and a mutated instance restarts its
+  // build amortization from zero.
 
   /// Append a customer; returns its index (== num_customers() - 1).
   std::size_t add_customer(const Customer& c);
@@ -192,41 +207,83 @@ class Instance {
   /// session cheap. Callers must have sized thetas_/radii_ to match
   /// customers_ already. O(n + k), additions and comparisons only.
   void refold_scalars();
-  /// Drop the published grid and restart the ski-rental counter.
+  /// Drop the band table and the grid, and restart the ski-rental counter.
   void invalidate_spatial() noexcept;
 
-  // Lazily published grid cache. A plain member type (instead of
-  // std::once_flag or a mutex) keeps Instance copyable and movable: copies
-  // drop the cache (their vectors own fresh buffers, so the old grid's
-  // views would dangle), moves transfer it (vector moves keep the heap
-  // buffers the grid views point into).
-  struct GridSlot {
-    mutable std::atomic<const geom::PolarGrid*> ptr{nullptr};
-    // Queries answered flat while deferring the build (see spatial_index).
-    // Deliberately not copied/moved: a new home means a new amortization.
-    mutable std::atomic<std::uint32_t> flat_queries{0};
-
-    GridSlot() noexcept = default;
-    GridSlot(const GridSlot& /*other*/) noexcept {}
-    GridSlot(GridSlot&& other) noexcept {
-      ptr.store(other.ptr.exchange(nullptr, std::memory_order_acq_rel),
-                std::memory_order_release);
-    }
-    GridSlot& operator=(const GridSlot& other) noexcept {
+  // A lazily built, immutable structure derived from the instance (the band
+  // table, the polar grid), published once per owner. A plain member type
+  // (instead of std::once_flag or a mutex) keeps Instance copyable and
+  // movable: copies drop it (the grid views the copied-from vectors'
+  // buffers), moves transfer it (vector moves keep the heap buffers the
+  // grid views point into).
+  template <class T>
+  class Lazy {
+   public:
+    Lazy() noexcept = default;
+    Lazy(const Lazy& /*other*/) noexcept {}
+    Lazy(Lazy&& other) noexcept : ptr_(other.take()) {}
+    Lazy& operator=(const Lazy& other) noexcept {
       if (this != &other) reset();
       return *this;
     }
-    GridSlot& operator=(GridSlot&& other) noexcept {
+    Lazy& operator=(Lazy&& other) noexcept {
       if (this != &other) {
         reset();
-        ptr.store(other.ptr.exchange(nullptr, std::memory_order_acq_rel),
-                  std::memory_order_release);
+        ptr_.store(other.take(), std::memory_order_release);
       }
       return *this;
     }
-    ~GridSlot() { reset(); }
+    ~Lazy() { reset(); }
+
+    /// The published value, or nullptr.
+    [[nodiscard]] const T* peek() const noexcept {
+      return ptr_.load(std::memory_order_acquire);
+    }
+    /// The published value; without one, builds T(args...) and publishes
+    /// it. Concurrent first callers each build, one publishes, and the
+    /// others discard theirs and return the winner's.
+    template <class... Args>
+    const T& get(const Args&... args) const {
+      if (const T* have = peek()) return *have;
+      const T* fresh = new T(args...);
+      const T* expected = nullptr;
+      if (ptr_.compare_exchange_strong(expected, fresh,
+                                       std::memory_order_acq_rel,
+                                       std::memory_order_acquire)) {
+        return *fresh;
+      }
+      delete fresh;
+      return *expected;
+    }
     void reset() noexcept {
-      delete ptr.exchange(nullptr, std::memory_order_acq_rel);
+      delete ptr_.exchange(nullptr, std::memory_order_acq_rel);
+    }
+
+   private:
+    const T* take() noexcept {
+      return ptr_.exchange(nullptr, std::memory_order_acq_rel);
+    }
+    mutable std::atomic<const T*> ptr_{nullptr};
+  };
+
+  // One exactly sized list per distinct radial band; antenna j reads
+  // lists[of[j]].
+  struct BandTable {
+    BandTable(std::span<const double> radii,
+              std::span<const AntennaSpec> antennas);
+    std::vector<std::size_t> of;
+    std::vector<std::vector<std::size_t>> lists;
+  };
+
+  // Sector queries answered by the band path while deferring the grid
+  // build (see spatial_index). Not copied or moved: a new home means a new
+  // amortization.
+  struct QueryCount {
+    mutable std::atomic<std::uint32_t> value{0};
+    QueryCount() noexcept = default;
+    QueryCount(const QueryCount& /*other*/) noexcept {}
+    QueryCount& operator=(const QueryCount& /*other*/) noexcept {
+      return *this;
     }
   };
 
@@ -240,7 +297,10 @@ class Instance {
   double total_value_ = 0.0;
   double total_capacity_ = 0.0;
   bool value_weighted_ = false;
-  GridSlot grid_;  // last member: assigned after the vectors on copy/move
+  // Last members: assigned after the vectors on copy/move.
+  Lazy<BandTable> bands_;
+  Lazy<geom::PolarGrid> grid_;
+  QueryCount grid_deferred_;
 };
 
 /// Fluent helper for building instances in examples and tests.

@@ -35,14 +35,11 @@ model::Solution anneal(const model::Instance& inst, model::Solution start,
 
   sim::Rng rng(config.seed);
 
-  // Candidate orientations per antenna: angles of in-range customers
-  // (radial filter via the flat/indexed crossover helper; same angles in
-  // the same ascending order either way).
+  // Candidate orientations per antenna: angles of in-range customers, in
+  // ascending customer order.
   std::vector<std::vector<double>> cands(k);
-  std::vector<std::size_t> in_band;
   for (std::size_t j = 0; j < k; ++j) {
-    inst.in_range_customers(j, in_band);
-    for (std::size_t i : in_band) cands[j].push_back(inst.theta(i));
+    for (std::size_t i : inst.band(j)) cands[j].push_back(inst.theta(i));
     if (cands[j].empty()) cands[j].push_back(0.0);
   }
 

@@ -15,8 +15,7 @@ namespace {
 // anywhere; 0.0 represents that choice).
 std::vector<double> candidates_for(const model::Instance& inst,
                                    std::size_t j) {
-  std::vector<std::size_t> in_band;
-  inst.in_range_customers(j, in_band);
+  const std::span<const std::size_t> in_band = inst.band(j);
   std::vector<double> thetas;
   thetas.reserve(in_band.size());
   for (std::size_t i : in_band) thetas.push_back(inst.theta(i));

@@ -96,18 +96,13 @@ single::WindowChoice sweep_unserved(const model::Instance& inst,
                                     const GreedyConfig& config,
                                     knapsack::OracleCache* cache,
                                     std::span<const std::size_t> ids) {
-  // Radial filter via the crossover helper (flat below the threshold,
-  // polar grid above; candidates come back in ascending instance order
-  // either way, so the served-filter below sees the same sequence the
-  // old flat loop produced).
-  std::vector<std::size_t> in_band;
-  inst.in_range_customers(j, in_band);
+  // Antenna j's unserved in-band customers, in ascending order.
   std::vector<double> thetas;
   std::vector<double> values;
   std::vector<double> demands;
   std::vector<std::size_t> index;
   std::vector<std::size_t> stable;
-  for (const std::size_t i : in_band) {
+  for (const std::size_t i : inst.band(j)) {
     if (served[i]) continue;
     thetas.push_back(inst.theta(i));
     values.push_back(inst.value(i));

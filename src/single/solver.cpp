@@ -13,11 +13,9 @@ model::Solution solve(const model::Instance& inst, const Config& config) {
   const std::size_t j = config.antenna;
   const model::AntennaSpec& ant = inst.antenna(j);
 
-  // Restrict to in-range customers; keep a map back to instance indices.
-  // The radial filter goes through the crossover helper (flat scan or polar
-  // grid, identical output) and the gathers read the SoA arrays.
-  std::vector<std::size_t> index;
-  inst.in_range_customers(j, index);
+  // Restrict to in-range customers; the band maps back to instance
+  // indices, and the gathers read the SoA arrays.
+  const std::span<const std::size_t> index = inst.band(j);
   std::vector<double> thetas;
   std::vector<double> values;
   std::vector<double> demands;
@@ -76,17 +74,14 @@ model::Solution solve_reference(const model::Instance& inst,
   const std::size_t j = antenna;
   const model::AntennaSpec& ant = inst.antenna(j);
 
+  const std::span<const std::size_t> index = inst.band(j);
   std::vector<double> thetas;
   std::vector<double> values;
   std::vector<double> demands;
-  std::vector<std::size_t> index;
-  for (std::size_t i = 0; i < inst.num_customers(); ++i) {
-    if (inst.in_range(i, j)) {
-      thetas.push_back(inst.theta(i));
-      values.push_back(inst.value(i));
-      demands.push_back(inst.demand(i));
-      index.push_back(i);
-    }
+  for (const std::size_t i : index) {
+    thetas.push_back(inst.theta(i));
+    values.push_back(inst.value(i));
+    demands.push_back(inst.demand(i));
   }
   if (thetas.size() > 20) {
     throw std::invalid_argument("single::solve_reference: n > 20");

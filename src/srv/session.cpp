@@ -33,9 +33,7 @@ Session::Session(model::Instance inst, SolverKey key)
   next_sid_ = n;
   band_fp_.assign(k, 0);
   for (std::size_t j = 0; j < k; ++j) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (inst_.in_range(i, j)) band_fp_[j] += term_[i];
-    }
+    for (const std::size_t i : inst_.band(j)) band_fp_[j] += term_[i];
   }
   ensure_antenna_slots();
 }
@@ -142,10 +140,7 @@ ResolveStats Session::antenna_add(const model::AntennaSpec& spec,
                                   const core::SolveOptions& opts) {
   const std::size_t j = inst_.add_antenna(spec);  // throws before mutating
   std::uint64_t fp = 0;
-  const std::size_t n = inst_.num_customers();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (inst_.in_range(i, j)) fp += term_[i];
-  }
+  for (const std::size_t i : inst_.band(j)) fp += term_[i];
   band_fp_.push_back(fp);
   // Existing caches/memos stay: each slot is a pure function of its own
   // antenna's unchanged spec. (If the fleet was identical and the new

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <span>
+
 #include "src/bounds/upper.hpp"
+#include "src/geom/polar_grid.hpp"
 #include "src/model/validate.hpp"
 #include "src/sim/adversarial.hpp"
 #include "src/sim/generators.hpp"
@@ -46,8 +50,10 @@ TEST(Eligibility, MatchesSectorContainment) {
   const Fixture f = random_fixture(21, 30, 3);
   const assign::Eligibility e =
       assign::compute_eligibility(f.inst, f.alphas);
+  const std::vector<std::vector<std::int32_t>> per_customer =
+      assign::per_customer(e, f.inst.num_customers());
   ASSERT_EQ(e.per_antenna.size(), 3u);
-  ASSERT_EQ(e.per_customer.size(), 30u);
+  ASSERT_EQ(per_customer.size(), 30u);
   for (std::size_t j = 0; j < 3; ++j) {
     const geom::Sector sec = f.inst.sector(j, f.alphas[j]);
     for (std::size_t i = 0; i < 30; ++i) {
@@ -57,9 +63,106 @@ TEST(Eligibility, MatchesSectorContainment) {
       EXPECT_EQ(eligible, sec.contains(geom::Polar{f.inst.theta(i),
                                                    f.inst.radius(i)}));
       const bool from_customer =
-          std::find(e.per_customer[i].begin(), e.per_customer[i].end(),
-                    static_cast<std::int32_t>(j)) != e.per_customer[i].end();
+          std::find(per_customer[i].begin(), per_customer[i].end(),
+                    static_cast<std::int32_t>(j)) != per_customer[i].end();
       EXPECT_EQ(eligible, from_customer);
+    }
+  }
+}
+
+namespace {
+
+// Restores the process-wide spatial mode on scope exit.
+struct ModeGuard {
+  geom::SpatialIndexMode saved = geom::spatial_index_mode();
+  ~ModeGuard() { geom::set_spatial_index_mode(saved); }
+};
+
+// The double loop compute_eligibility ran before the band table: every
+// customer against every oriented sector, filling both orientations.
+struct FullScan {
+  std::vector<std::vector<std::size_t>> per_antenna;
+  std::vector<std::vector<std::int32_t>> per_customer;
+};
+
+FullScan full_scan(const model::Instance& inst,
+                   std::span<const double> alphas) {
+  FullScan e;
+  e.per_antenna.resize(inst.num_antennas());
+  e.per_customer.resize(inst.num_customers());
+  for (std::size_t j = 0; j < inst.num_antennas(); ++j) {
+    const geom::Sector sec = inst.sector(j, alphas[j]);
+    for (std::size_t i = 0; i < inst.num_customers(); ++i) {
+      if (sec.contains(geom::Polar{inst.theta(i), inst.radius(i)})) {
+        e.per_antenna[j].push_back(i);
+        e.per_customer[i].push_back(static_cast<std::int32_t>(j));
+      }
+    }
+  }
+  return e;
+}
+
+// Above the grid's size threshold, so kAuto switches to the grid after its
+// deferral; full-circle, annular and overlapping antennas, customers at
+// the origin and on the angles the alphas below sit next to.
+model::Instance eligibility_instance(std::uint64_t seed) {
+  sim::Rng rng(seed);
+  std::vector<model::Customer> customers;
+  for (int i = 0; i < 5000; ++i) {
+    const std::int64_t kind = rng.uniform_int(0, 9);
+    const double r = kind == 0 ? 0.0 : rng.uniform(0.0, 60.0);
+    const double t = kind == 1   ? 0.0
+                     : kind == 2 ? std::nextafter(geom::kTwoPi, 0.0)
+                                 : rng.uniform(0.0, geom::kTwoPi);
+    customers.push_back({geom::from_polar(t, r),
+                         static_cast<double>(rng.uniform_int(1, 9))});
+  }
+  const std::vector<model::AntennaSpec> antennas = {
+      {geom::kTwoPi, 30.0, 50.0, 0.0},   // full circle
+      {geom::kTwoPi, 50.0, 50.0, 20.0},  // full circle, annular
+      {0.8, 40.0, 30.0, 0.0},
+      {1.3, 55.0, 40.0, 25.0},           // annular, overlaps the two above
+      {0.8, 40.0, 30.0, 0.0},            // the third again
+      {rng.uniform(0.1, 3.0), rng.uniform(10.0, 60.0), 20.0, 0.0},
+  };
+  return {customers, antennas};
+}
+
+}  // namespace
+
+// compute_eligibility's band and grid paths against the full scan, under
+// all three spatial modes; kAuto meets both paths, since the instance is
+// queried past the grid's build deferral.
+TEST(Eligibility, MatchesFullScanReference) {
+  ModeGuard guard;
+  const double near_two_pi = std::nextafter(geom::kTwoPi, 0.0);
+  for (const geom::SpatialIndexMode mode :
+       {geom::SpatialIndexMode::kAuto, geom::SpatialIndexMode::kForceFlat,
+        geom::SpatialIndexMode::kForceIndexed}) {
+    geom::set_spatial_index_mode(mode);
+    for (const std::uint64_t seed : {31u, 32u}) {
+      const model::Instance inst = eligibility_instance(seed);
+      sim::Rng rng(seed + 1000);
+      for (int q = 0; q < 2 * static_cast<int>(geom::kGridBuildAfterQueries);
+           ++q) {
+        std::vector<double> alphas(inst.num_antennas());
+        for (double& a : alphas) {
+          switch (rng.uniform_int(0, 5)) {
+            case 0: a = 0.0; break;
+            case 1: a = near_two_pi; break;
+            case 2: a = geom::kTwoPi; break;
+            case 3: a = -1e-17; break;
+            default: a = rng.uniform(0.0, geom::kTwoPi); break;
+          }
+        }
+        const assign::Eligibility e = assign::compute_eligibility(inst, alphas);
+        const FullScan ref = full_scan(inst, alphas);
+        EXPECT_EQ(e.per_antenna, ref.per_antenna)
+            << "seed " << seed << " query " << q;
+        EXPECT_EQ(assign::per_customer(e, inst.num_customers()),
+                  ref.per_customer)
+            << "seed " << seed << " query " << q;
+      }
     }
   }
 }
@@ -103,8 +206,9 @@ TEST(AssignExact, OptimalVsEnumerationTiny) {
     const double got = model::served_demand(f.inst, sol);
 
     // Exhaustive: each customer -> one of (k+1) choices.
-    const assign::Eligibility e =
-        assign::compute_eligibility(f.inst, f.alphas);
+    const std::vector<std::vector<std::int32_t>> per_customer =
+        assign::per_customer(assign::compute_eligibility(f.inst, f.alphas),
+                             f.inst.num_customers());
     const std::size_t n = f.inst.num_customers();
     const std::size_t k = f.inst.num_antennas();
     double best = 0.0;
@@ -117,8 +221,8 @@ TEST(AssignExact, OptimalVsEnumerationTiny) {
         if (choice[i] == 0) continue;
         const auto j = static_cast<std::int32_t>(choice[i] - 1);
         const bool eligible =
-            std::find(e.per_customer[i].begin(), e.per_customer[i].end(),
-                      j) != e.per_customer[i].end();
+            std::find(per_customer[i].begin(), per_customer[i].end(), j) !=
+            per_customer[i].end();
         if (!eligible) {
           ok = false;
           break;

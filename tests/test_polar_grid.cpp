@@ -65,16 +65,6 @@ Points clustered_points(std::uint64_t seed, std::size_t n) {
   return p;
 }
 
-// Flat reference for collect_annulus: the exact predicate the grid promises.
-std::vector<std::size_t> flat_annulus(const Points& p, double r_lo,
-                                      double r_hi) {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < p.radii.size(); ++i) {
-    if (p.radii[i] <= r_hi && p.radii[i] >= r_lo) out.push_back(i);
-  }
-  return out;
-}
-
 // Flat reference for collect_sector.
 std::vector<std::size_t> flat_sector(const Points& p,
                                      const geom::Sector& sector) {
@@ -105,29 +95,6 @@ model::Instance random_instance(std::uint64_t seed, std::size_t n,
 }
 
 }  // namespace
-
-TEST(PolarGrid, AnnulusMatchesFlatOnRandomWindows) {
-  for (std::uint64_t seed : {1u, 2u, 3u}) {
-    const Points p = clustered_points(seed, 5000);
-    const geom::PolarGrid grid(p.thetas, p.radii);
-    sim::Rng rng(seed + 100);
-    std::vector<std::size_t> got;
-    for (int q = 0; q < 400; ++q) {
-      double a = rng.uniform(-5.0, 105.0);
-      double b = rng.uniform(-5.0, 105.0);
-      if (a > b) std::swap(a, b);
-      grid.collect_annulus(a, b, got);
-      EXPECT_EQ(got, flat_annulus(p, a, b)) << "seed " << seed << " q " << q;
-    }
-    // Degenerate and empty bands.
-    grid.collect_annulus(80.0, 80.0, got);
-    EXPECT_EQ(got, flat_annulus(p, 80.0, 80.0));
-    grid.collect_annulus(50.0, 40.0, got);  // inverted: empty
-    EXPECT_TRUE(got.empty());
-    grid.collect_annulus(0.0, 1e300, got);  // everything
-    EXPECT_EQ(got.size(), p.radii.size());
-  }
-}
 
 TEST(PolarGrid, SectorMatchesFlatOnRandomWindows) {
   for (std::uint64_t seed : {11u, 12u}) {
@@ -163,16 +130,12 @@ TEST(PolarGrid, EdgeCaseGeometries) {
   {  // empty
     const geom::PolarGrid grid(std::span<const double>{},
                                std::span<const double>{});
-    grid.collect_annulus(0.0, 10.0, got);
-    EXPECT_TRUE(got.empty());
     grid.collect_sector({{0.0, geom::kTwoPi}, 10.0, 0.0}, got);
     EXPECT_TRUE(got.empty());
   }
   {  // single point
     const Points p{{1.0}, {5.0}};
     const geom::PolarGrid grid(p.thetas, p.radii);
-    grid.collect_annulus(5.0, 5.0, got);
-    EXPECT_EQ(got, (std::vector<std::size_t>{0}));
     grid.collect_sector({{1.0, 0.0}, 5.0, 0.0}, got);
     EXPECT_EQ(got, (std::vector<std::size_t>{0}));
   }
@@ -180,11 +143,9 @@ TEST(PolarGrid, EdgeCaseGeometries) {
     const Points p{std::vector<double>(300, 2.5),
                    std::vector<double>(300, 7.0)};
     const geom::PolarGrid grid(p.thetas, p.radii);
-    grid.collect_annulus(7.0, 7.0, got);
-    EXPECT_EQ(got.size(), 300u);
-    EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
     grid.collect_sector({{2.5, 0.0}, 7.0, 0.0}, got);
     EXPECT_EQ(got.size(), 300u);
+    EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
     grid.collect_sector({{2.5 + 1.0, 0.5}, 7.0, 0.0}, got);
     EXPECT_TRUE(got.empty());
   }
@@ -201,23 +162,24 @@ TEST(PolarGrid, EdgeCaseGeometries) {
                    {std::nan(""), std::numeric_limits<double>::infinity(),
                     3.0}};
     const geom::PolarGrid grid(p.thetas, p.radii);
-    grid.collect_annulus(0.0, 1e308, got);
-    EXPECT_EQ(got, (std::vector<std::size_t>{2}));
     grid.collect_sector({{0.0, geom::kTwoPi}, 1e308, 0.0}, got);
     EXPECT_EQ(got, flat_sector(p, {{0.0, geom::kTwoPi}, 1e308, 0.0}));
   }
 }
 
+// The radial band does not depend on the mode: a table built while the
+// grid is forced equals one built while it is off.
 TEST(PolarGrid, InstanceInRangeCustomersIsModeInvariant) {
   ModeGuard guard;
   const model::Instance inst = random_instance(42, 3000, 6);
-  std::vector<std::size_t> flat, indexed;
+  const model::Instance copy = inst;  // NOLINT(performance-unnecessary-copy)
+  geom::set_spatial_index_mode(geom::SpatialIndexMode::kForceFlat);
+  (void)inst.band(0);
+  geom::set_spatial_index_mode(geom::SpatialIndexMode::kForceIndexed);
+  (void)copy.band(0);
   for (std::size_t j = 0; j < inst.num_antennas(); ++j) {
-    geom::set_spatial_index_mode(geom::SpatialIndexMode::kForceFlat);
-    inst.in_range_customers(j, flat);
-    geom::set_spatial_index_mode(geom::SpatialIndexMode::kForceIndexed);
-    inst.in_range_customers(j, indexed);
-    EXPECT_EQ(flat, indexed) << "antenna " << j;
+    EXPECT_TRUE(std::ranges::equal(inst.band(j), copy.band(j)))
+        << "antenna " << j;
   }
 }
 
@@ -255,7 +217,8 @@ TEST(PolarGrid, SolversAreBitIdenticalAcrossModes) {
     EXPECT_EQ(s_flat.alpha, s_idx.alpha);
     EXPECT_EQ(s_flat.assign, s_idx.assign);
     EXPECT_EQ(e_flat.per_antenna, e_idx.per_antenna);
-    EXPECT_EQ(e_flat.per_customer, e_idx.per_customer);
+    EXPECT_EQ(sectorpack::assign::per_customer(e_flat, inst.num_customers()),
+              sectorpack::assign::per_customer(e_idx, inst.num_customers()));
     EXPECT_EQ(of_flat, of_idx);
     EXPECT_EQ(fw_flat, fw_idx);
   }
@@ -271,9 +234,10 @@ TEST(PolarGrid, InstanceGridIsCachedAndCopySafe) {
   const model::Instance copy = inst;  // NOLINT(performance-unnecessary-copy)
   const geom::PolarGrid& copy_grid = copy.polar_grid();
   EXPECT_NE(&copy_grid, first);
+  const geom::Sector sector{{0.5, 2.0}, 60.0, 10.0};
   std::vector<std::size_t> a, b;
-  first->collect_annulus(10.0, 60.0, a);
-  copy_grid.collect_annulus(10.0, 60.0, b);
+  first->collect_sector(sector, a);
+  copy_grid.collect_sector(sector, b);
   EXPECT_EQ(a, b);
 }
 

@@ -279,7 +279,6 @@ model::Solution eager_improve(const model::Instance& inst, model::Solution sol,
   std::vector<double> values;
   std::vector<double> demands;
   std::vector<std::size_t> index;
-  std::vector<std::size_t> in_band;
   std::vector<knapsack::OracleCache> caches(k);
   bool improved_any = true;
   for (std::size_t pass = 0; pass < config.max_passes && improved_any;
@@ -291,12 +290,11 @@ model::Solution eager_improve(const model::Instance& inst, model::Solution sol,
       for (std::size_t i = 0; i < n; ++i) {
         if (sol.assign[i] == mine) current += inst.value(i);
       }
-      inst.in_range_customers(j, in_band);
       thetas.clear();
       values.clear();
       demands.clear();
       index.clear();
-      for (const std::size_t i : in_band) {
+      for (const std::size_t i : inst.band(j)) {
         if (sol.assign[i] == model::kUnserved || sol.assign[i] == mine) {
           thetas.push_back(inst.theta(i));
           values.push_back(inst.value(i));
