@@ -52,11 +52,15 @@
 #              10^5-customer mixed annular fleet, and annealing on it under
 #              --spatial flat, index and auto), `sectorpack bound`
 #              must order trivial >= orientation-free >= flow-window >=
-#              the greedy served value, and the shard solver's output must
-#              pass the named-invariant verifier and be byte-identical
-#              across two solves. No --time-limit anywhere: deadline stops are
-#              wall-clock nondeterministic and would break the byte
-#              comparisons.
+#              the greedy served value, the --stats json scan counters of
+#              greedy and of the mixed fleet's local search must balance
+#              (windows walked == skipped by sum + skipped by bound + cache
+#              hits + solves) with greedy's unit-demand scans stopped at
+#              the capacity ceiling (walked <= 1/10 of the windows), and
+#              the shard solver's output must pass the named-invariant
+#              verifier and be byte-identical across two solves. No
+#              --time-limit anywhere: deadline stops are wall-clock
+#              nondeterministic and would break the byte comparisons.
 #   race       the portfolio-racing contract (docs/performance.md): a
 #              sanitized `solve --solver race` run must produce a verified,
 #              byte-identical-across-repeats solution with a
@@ -844,6 +848,43 @@ PYEOF
   done
   expect_rc 0 "$CLI" verify --in "$TMP/mixed.inst" \
     --solution "$TMP/anneal_flat.sol"
+
+  # Scan counters (docs/performance.md, "Reading the counters"): each
+  # window a scan walks is skipped by sum or by bound, hit in the cache or
+  # solved, so sweep.delta.steps is their sum. On the unit-demand instance
+  # every antenna's first window packs its whole capacity, so the ceiling
+  # stop must leave most windows unwalked; the value-weighted mixed fleet
+  # has no ceiling. Both counts are deterministic without a time limit.
+  expect_rc 0 "$CLI" solve --in "$TMP/huge.inst" --solver greedy \
+    --stats json -o "$TMP/stats.sol"
+  cp "$TMP/out" "$TMP/greedy_stats.json"
+  if ! cmp -s "$TMP/flat.sol" "$TMP/stats.sol"; then
+    echo "FAIL: greedy with --stats json wrote a different solution" >&2
+    exit 1
+  fi
+  expect_rc 0 "$CLI" solve --in "$TMP/mixed.inst" --solver local-search \
+    --stats json -o "$TMP/stats.sol"
+  cp "$TMP/out" "$TMP/mixed_stats.json"
+  python3 - "$TMP/greedy_stats.json" "$TMP/mixed_stats.json" <<'PYEOF'
+import json
+import sys
+
+for path, stops in ((sys.argv[1], True), (sys.argv[2], False)):
+    with open(path) as f:
+        counters = json.loads(f.read().strip().splitlines()[-1])["counters"]
+    steps = counters.get("sweep.delta.steps", 0)
+    parts = {k: counters.get(k, 0) for k in (
+        "oracle.skip_sum", "oracle.skip_bound", "oracle.cache.hits",
+        "oracle.solves")}
+    assert steps == sum(parts.values()), (path, steps, parts)
+    windows = counters.get("sweep.windows", 0)
+    assert steps > 0 and windows > 0, (path, steps, windows)
+    if stops:
+        assert steps * 10 <= windows, \
+            "ceiling stop did not engage: %d of %d windows walked" % (
+                steps, windows)
+    print("huge scan counters: %d windows walked of %d" % (steps, windows))
+PYEOF
 
   # Shard solve: feasible, verifiable output at scale (the merge/repair
   # path is seam-dependent, so no byte comparison against plain greedy).

@@ -3,7 +3,10 @@
 namespace sectorpack::geom {
 
 double normalize(double radians) noexcept {
-  double a = std::fmod(radians, kTwoPi);
+  // fmod returns its argument exactly when |radians| < 2*pi, so the call is
+  // skipped there; the steps below then see the same value either way.
+  double a =
+      std::fabs(radians) < kTwoPi ? radians : std::fmod(radians, kTwoPi);
   if (a < 0.0) a += kTwoPi;
   // Two boundary hazards around the multiples of 2*pi:
   //  * a tiny negative input (e.g. -1e-18) survives fmod unchanged, and the

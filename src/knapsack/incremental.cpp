@@ -41,6 +41,15 @@ IncrementalOracle::IncrementalOracle(std::span<const Item> universe,
       cache_(cache) {
   const std::size_t n = universe.size();
   SP_ASSERT(ids_.empty() || ids_.size() == n);
+  id_mix_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    id_mix_[i] = fingerprint_mix(ids_.empty() ? i : ids_[i]);
+  }
+  member_.assign(n, 0);
+}
+
+void IncrementalOracle::build_trees() {
+  const std::size_t n = universe_.size();
   // Same density order as knapsack::solve_greedy / fractional_solve
   // (cross-multiplied density desc, value desc), with the universe index as
   // a final tie-break so the order is total and deterministic.
@@ -48,8 +57,8 @@ IncrementalOracle::IncrementalOracle(std::span<const Item> universe,
   std::iota(order.begin(), order.end(), std::uint32_t{0});
   std::sort(order.begin(), order.end(),
             [&](std::uint32_t a, std::uint32_t b) {
-              const Item& ia = universe[a];
-              const Item& ib = universe[b];
+              const Item& ia = universe_[a];
+              const Item& ib = universe_[b];
               const double lhs = ia.value * ib.weight;
               const double rhs = ib.value * ia.weight;
               if (lhs != rhs) return lhs > rhs;
@@ -58,11 +67,8 @@ IncrementalOracle::IncrementalOracle(std::span<const Item> universe,
             });
   item_at_ = std::move(order);
   slot_of_.resize(n);
-  for (std::size_t r = 0; r < n; ++r) slot_of_[item_at_[r]] = static_cast<std::uint32_t>(r);
-
-  id_mix_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    id_mix_[i] = fingerprint_mix(ids_.empty() ? i : ids_[i]);
+  for (std::size_t r = 0; r < n; ++r) {
+    slot_of_[item_at_[r]] = static_cast<std::uint32_t>(r);
   }
 
   fen_w_.assign(n + 1, 0.0);
@@ -70,8 +76,20 @@ IncrementalOracle::IncrementalOracle(std::span<const Item> universe,
   fen_c_.assign(n + 1, 0);
   top_bit_ = 1;
   while (top_bit_ * 2 <= n) top_bit_ *= 2;
+  built_ = true;
 
-  member_.assign(n, 0);
+  // The same updates in the same order as trees kept from construction
+  // would have seen, so every node holds the same sums bit for bit.
+  for (const Update& u : pending_) {
+    const Item& it = universe_[u.item];
+    if (u.add) {
+      fenwick_update(slot_of_[u.item], it.weight, it.value, 1);
+    } else {
+      fenwick_update(slot_of_[u.item], -it.weight, -it.value, -1);
+    }
+  }
+  pending_ = {};
+  pending_remove_ = false;
 }
 
 void IncrementalOracle::fenwick_update(std::size_t slot, double dw, double dv,
@@ -93,7 +111,11 @@ void IncrementalOracle::add(std::size_t i) {
   ++count_;
   if (it.value > 0.0) {
     ++positive_count_;
-    fenwick_update(slot_of_[i], it.weight, it.value, 1);
+    if (built_) {
+      fenwick_update(slot_of_[i], it.weight, it.value, 1);
+    } else {
+      pending_.push_back({static_cast<std::uint32_t>(i), true});
+    }
   }
 }
 
@@ -107,12 +129,18 @@ void IncrementalOracle::remove(std::size_t i) {
   --count_;
   if (it.value > 0.0) {
     --positive_count_;
-    fenwick_update(slot_of_[i], -it.weight, -it.value, -1);
+    if (built_) {
+      fenwick_update(slot_of_[i], -it.weight, -it.value, -1);
+    } else {
+      pending_.push_back({static_cast<std::uint32_t>(i), false});
+      pending_remove_ = true;
+    }
   }
 }
 
-double IncrementalOracle::upper_bound() const noexcept {
+double IncrementalOracle::upper_bound() {
   if (capacity_ <= 0.0 || count_ == 0) return 0.0;
+  if (!built_) build_trees();
   // Largest density-rank prefix whose member weight fits. Prefix weight is
   // monotone (weights >= 0), so this is exactly the Dantzig walk's stopping
   // point, found by binary descent instead of a per-window sort.
@@ -160,6 +188,28 @@ double IncrementalOracle::upper_bound() const noexcept {
     }
   }
   return v;
+}
+
+bool IncrementalOracle::bound_positive() {
+  if (built_ || pending_remove_) return upper_bound() > 0.0;
+  if (!(capacity_ > 0.0)) return false;
+  // Adds only: pending_ lists the members with value > 0, and every tree
+  // node below the densest one's slot would still hold exactly 0.0. So the
+  // descent takes that member iff its weight fits; otherwise it stops
+  // before it with w == v == 0 and the bound is its fractional share.
+  bool some_pass = false;
+  bool some_fail = false;
+  for (const Update& u : pending_) {
+    const Item& it = universe_[u.item];
+    const bool pass = it.weight <= capacity_ ||
+                      it.value * (capacity_ / it.weight) > 0.0;
+    (pass ? some_pass : some_fail) = true;
+  }
+  // When they disagree, the sort's first member decides, and that is not
+  // always the one of highest true density (both cross products can
+  // underflow to 0, leaving the tie to the larger value): ask the trees.
+  if (some_pass && some_fail) return upper_bound() > 0.0;
+  return some_pass;
 }
 
 std::uint64_t IncrementalOracle::fingerprint() const noexcept {

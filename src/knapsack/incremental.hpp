@@ -16,6 +16,14 @@
 //   * O(1)      an order-independent 64-bit fingerprint of the member set
 //               (sum of mixed per-item ids, exact under add/remove).
 //
+// The density order and the trees cost O(n log n) to build, and a scan
+// whose first window already packs the whole capacity never needs them.
+// So they are built at the first bound query that needs them, by replaying
+// the adds and removes made until then in their original order: every
+// bound is bitwise what trees kept from construction would give. Whether
+// the bound is positive -- the only question against a zero incumbent --
+// is answered without the trees while nothing has been removed.
+//
 // Exact packings still go through the configured Oracle as a batch re-solve
 // -- DP/branch-and-bound/FPTAS results depend on item order, and presenting
 // the materialized window keeps outputs bit-identical to the non-
@@ -82,8 +90,8 @@ struct IncrementalStats {
 };
 
 /// Membership-incremental evaluation of one (capacity, oracle) pair over a
-/// fixed universe of items. Construction sorts the universe once by the
-/// greedy density order.
+/// fixed universe of items with weights >= 0. The first bound query sorts
+/// the universe once by the greedy density order.
 class IncrementalOracle {
  public:
   /// `ids`, when non-empty, gives a strictly ascending stable id per
@@ -106,8 +114,19 @@ class IncrementalOracle {
   /// Fractional (Dantzig) upper bound on the best packing of the current
   /// members into the capacity: greedy density prefix plus one fractional
   /// item, computed by Fenwick descent in O(log n). Always >= the value any
-  /// Oracle kind can return for this member set.
-  [[nodiscard]] double upper_bound() const noexcept;
+  /// Oracle kind can return for this member set. The first call with
+  /// members and a positive capacity builds the trees (O(n log n), may
+  /// throw std::bad_alloc); the value does not depend on when that happens.
+  [[nodiscard]] double upper_bound();
+
+  /// upper_bound() > 0. While no member has been removed it is decided
+  /// without building the trees: the descent has then seen adds only, so
+  /// the bound is positive iff the capacity is and the densest positive
+  /// member either fits whole or keeps a positive fractional share
+  /// value * (capacity / weight). When all positive members agree on that
+  /// test the densest one does too; only when they disagree do the trees
+  /// settle it.
+  [[nodiscard]] bool bound_positive();
 
   /// Order-independent fingerprint of the current member set.
   [[nodiscard]] std::uint64_t fingerprint() const noexcept;
@@ -123,6 +142,8 @@ class IncrementalOracle {
 
  private:
   void fenwick_update(std::size_t slot, double dw, double dv, std::int64_t dc);
+  /// Sorts the universe by density, sizes the trees and replays pending_.
+  void build_trees();
   /// Maps a cached entry's stable ids into `*out` as universe indices.
   /// False when some id is not in this universe or not a current member:
   /// the 64-bit key collided with another member set's. Weights are fixed
@@ -136,15 +157,27 @@ class IncrementalOracle {
   Oracle oracle_;
   OracleCache* cache_;
 
+  std::vector<std::uint64_t> id_mix_;    // universe idx -> fingerprint term
+
+  // Built by the first bound query that needs them (empty until then).
   std::vector<std::uint32_t> slot_of_;   // universe idx -> density rank
   std::vector<std::uint32_t> item_at_;   // density rank -> universe idx
-  std::vector<std::uint64_t> id_mix_;    // universe idx -> fingerprint term
   // Fenwick trees over density ranks (1-indexed), members only; items with
   // value <= 0 never enter (they cannot raise the LP bound).
   std::vector<double> fen_w_;
   std::vector<double> fen_v_;
   std::vector<std::int64_t> fen_c_;
   std::size_t top_bit_ = 0;
+  bool built_ = false;
+
+  // Tree updates made before the build, in order: each add or remove of an
+  // item with value > 0. build_trees() replays them.
+  struct Update {
+    std::uint32_t item;
+    bool add;
+  };
+  std::vector<Update> pending_;
+  bool pending_remove_ = false;  // some pending update is a remove
 
   std::vector<std::uint8_t> member_;
   std::size_t count_ = 0;

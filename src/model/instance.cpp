@@ -1,5 +1,6 @@
 #include "src/model/instance.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <stdexcept>
@@ -86,8 +87,7 @@ void Instance::refold_scalars() {
   for (const AntennaSpec& a : antennas_) total_capacity_ += a.capacity;
 }
 
-void Instance::invalidate_spatial() noexcept {
-  bands_.reset();
+void Instance::drop_grid() noexcept {
   grid_.reset();
   // sp-sync: relaxed restart of the ski-rental counter; an off-by-a-few
   // build point is fine (see spatial_index()).
@@ -104,8 +104,10 @@ std::size_t Instance::add_customer(const Customer& c) {
   thetas_.push_back(p.theta);
   radii_.push_back(p.r);
   refold_scalars();
-  invalidate_spatial();
-  return customers_.size() - 1;
+  const std::size_t i = customers_.size() - 1;
+  if (BandTable* t = bands_.peek_mut()) t->append(i, p.r);
+  drop_grid();
+  return i;
 }
 
 void Instance::remove_customer(std::size_t i) {
@@ -116,7 +118,8 @@ void Instance::remove_customer(std::size_t i) {
   thetas_.erase(thetas_.begin() + static_cast<std::ptrdiff_t>(i));
   radii_.erase(radii_.begin() + static_cast<std::ptrdiff_t>(i));
   refold_scalars();
-  invalidate_spatial();
+  if (BandTable* t = bands_.peek_mut()) t->erase(i);
+  drop_grid();
 }
 
 void Instance::set_demand(std::size_t i, double demand) {
@@ -126,9 +129,10 @@ void Instance::set_demand(std::size_t i, double demand) {
   Customer c = customers_[i];
   c.demand = demand;
   validate_customer(c);
-  customers_[i] = c;  // position unchanged: thetas_/radii_ stay
+  // Position unchanged: thetas_/radii_ stay, and with them the band
+  // table, the grid and the deferral count.
+  customers_[i] = c;
   refold_scalars();
-  invalidate_spatial();
 }
 
 std::size_t Instance::add_antenna(const AntennaSpec& a) {
@@ -139,7 +143,8 @@ std::size_t Instance::add_antenna(const AntennaSpec& a) {
   // hold, but the ski-rental counter amortizes queries for *this* workload
   // shape; restarting it is the conservative reading and costs a handful
   // of band scans at most.
-  invalidate_spatial();
+  bands_.reset();
+  drop_grid();
   return antennas_.size() - 1;
 }
 
@@ -156,6 +161,7 @@ Instance::BandTable::BandTable(std::span<const double> radii,
     const auto [it, fresh] = seen.emplace(std::pair{lo, hi}, lists.size());
     of[j] = it->second;
     if (!fresh) continue;
+    bounds.emplace_back(lo, hi);
     // One pass in ascending customer order. It writes every index and
     // advances only past members, so it has no branch to mispredict (with
     // one, the pass over thin rings took three times as long); the spare
@@ -167,6 +173,24 @@ Instance::BandTable::BandTable(std::span<const double> radii,
       out += static_cast<std::size_t>((radii[i] <= hi) & (radii[i] >= lo));
     }
     lists.emplace_back(scratch.data(), out);
+  }
+}
+
+void Instance::BandTable::append(std::size_t i, double r) {
+  for (std::size_t l = 0; l < lists.size(); ++l) {
+    if (r <= bounds[l].second && r >= bounds[l].first) lists[l].push_back(i);
+  }
+}
+
+void Instance::BandTable::erase(std::size_t i) {
+  for (std::vector<std::size_t>& list : lists) {
+    // Indices below i keep their slots; from the first one >= i on, each
+    // moves down a slot if i was a member and down a value either way.
+    auto from = std::lower_bound(list.begin(), list.end(), i);
+    auto to = from;
+    if (from != list.end() && *from == i) ++from;
+    for (; from != list.end(); ++from) *to++ = *from - 1;
+    list.erase(to, list.end());
   }
 }
 

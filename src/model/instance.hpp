@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "src/geom/polar_grid.hpp"
@@ -116,11 +117,12 @@ class Instance {
 
   /// Indices of the customers in antenna j's radial band, ascending:
   /// exactly the i with in_range(i, j). The band table behind the span is
-  /// built on first use, one pass over the radii per distinct band, and
-  /// kept until a mutator or a copy drops it; antennas with equal
-  /// (min_range, range) share one list. Thread-safe: concurrent first
-  /// callers race to publish one table (losers discard theirs). The span
-  /// stays valid until the instance is mutated, assigned or destroyed.
+  /// built on first use, one pass over the radii per distinct band; the
+  /// customer mutators keep it up to date, and a copy or add_antenna drops
+  /// it. Antennas with equal (min_range, range) share one list.
+  /// Thread-safe: concurrent first callers race to publish one table
+  /// (losers discard theirs). The span stays valid until the instance is
+  /// mutated, assigned or destroyed.
   [[nodiscard]] std::span<const std::size_t> band(std::size_t j) const;
 
   /// A copy of band(j) into `out`. Library code reads band(j); this stays
@@ -172,11 +174,12 @@ class Instance {
   // same iteration order, same summation order -- so a mutated instance is
   // *bitwise* indistinguishable from one freshly constructed from the same
   // customer/antenna records (the serve byte-identity contract rests on
-  // this). Each mutator also drops the band table and the cached spatial
-  // index and resets the ski-rental deferral counter: the grid holds views
-  // into the old SoA buffers, both go stale after any customer edit (and
-  // the table after an antenna edit), and a mutated instance restarts its
-  // build amortization from zero.
+  // this). The band table follows each edit: add_customer and
+  // remove_customer update its lists in place, set_demand moves no one and
+  // leaves it alone, and add_antenna drops it (it lacks the new band).
+  // add_customer and remove_customer also drop the polar grid, which views
+  // the old SoA buffers, and restart the ski-rental deferral counter; a
+  // demand edit keeps both, as it moves no customer.
 
   /// Append a customer; returns its index (== num_customers() - 1).
   std::size_t add_customer(const Customer& c);
@@ -207,15 +210,16 @@ class Instance {
   /// session cheap. Callers must have sized thetas_/radii_ to match
   /// customers_ already. O(n + k), additions and comparisons only.
   void refold_scalars();
-  /// Drop the band table and the grid, and restart the ski-rental counter.
-  void invalidate_spatial() noexcept;
+  /// Drop the polar grid and restart the ski-rental counter.
+  void drop_grid() noexcept;
 
-  // A lazily built, immutable structure derived from the instance (the band
-  // table, the polar grid), published once per owner. A plain member type
-  // (instead of std::once_flag or a mutex) keeps Instance copyable and
-  // movable: copies drop it (the grid views the copied-from vectors'
-  // buffers), moves transfer it (vector moves keep the heap buffers the
-  // grid views point into).
+  // A lazily built structure derived from the instance (the band table, the
+  // polar grid), published once per owner. Readers see it immutable; only
+  // the (non-const, exclusive) mutators edit it through peek_mut(). A plain
+  // member type (instead of std::once_flag or a mutex) keeps Instance
+  // copyable and movable: copies drop it (the grid views the copied-from
+  // vectors' buffers), moves transfer it (vector moves keep the heap
+  // buffers the grid views point into).
   template <class T>
   class Lazy {
    public:
@@ -239,14 +243,18 @@ class Instance {
     [[nodiscard]] const T* peek() const noexcept {
       return ptr_.load(std::memory_order_acquire);
     }
+    /// The published value for the owner's mutators to edit, or nullptr.
+    [[nodiscard]] T* peek_mut() noexcept {
+      return ptr_.load(std::memory_order_acquire);
+    }
     /// The published value; without one, builds T(args...) and publishes
     /// it. Concurrent first callers each build, one publishes, and the
     /// others discard theirs and return the winner's.
     template <class... Args>
     const T& get(const Args&... args) const {
       if (const T* have = peek()) return *have;
-      const T* fresh = new T(args...);
-      const T* expected = nullptr;
+      T* fresh = new T(args...);
+      T* expected = nullptr;
       if (ptr_.compare_exchange_strong(expected, fresh,
                                        std::memory_order_acq_rel,
                                        std::memory_order_acquire)) {
@@ -260,19 +268,26 @@ class Instance {
     }
 
    private:
-    const T* take() noexcept {
+    T* take() noexcept {
       return ptr_.exchange(nullptr, std::memory_order_acq_rel);
     }
-    mutable std::atomic<const T*> ptr_{nullptr};
+    mutable std::atomic<T*> ptr_{nullptr};
   };
 
-  // One exactly sized list per distinct radial band; antenna j reads
-  // lists[of[j]].
+  // One list per distinct radial band; antenna j reads lists[of[j]], whose
+  // members have lo <= radius <= hi for bounds[of[j]] == {lo, hi}.
   struct BandTable {
     BandTable(std::span<const double> radii,
               std::span<const AntennaSpec> antennas);
+    /// Customer i, the new last one, at radius r: appended to every list
+    /// whose bounds hold r.
+    void append(std::size_t i, double r);
+    /// Customer i removed: dropped from its lists, and every higher index
+    /// shifted down by one. One pass per list.
+    void erase(std::size_t i);
     std::vector<std::size_t> of;
     std::vector<std::vector<std::size_t>> lists;
+    std::vector<std::pair<double, double>> bounds;
   };
 
   // Sector queries answered by the band path while deferring the grid

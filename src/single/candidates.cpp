@@ -1,3 +1,5 @@
+#include <cmath>
+#include <limits>
 #include <utility>
 
 #include "src/geom/sweep.hpp"
@@ -10,7 +12,9 @@ namespace sectorpack::single {
 namespace {
 
 // Per-scan tallies merged into the obs counters once per scan (not per
-// window: the walk must stay branch-light when obs is off).
+// window: the walk must stay branch-light when obs is off). `steps` counts
+// the windows walked, each disposed of exactly once: skipped by sum or by
+// bound, a cache hit, or a solve.
 [[gnu::noinline]] void record_scan(std::uint64_t steps, std::uint64_t enters,
                                    std::uint64_t leaves,
                                    const knapsack::IncrementalStats& stats) {
@@ -49,30 +53,44 @@ WindowChoice best_window_weighted(std::span<const double> thetas,
   const std::size_t nw = sweep.num_windows();
   if (nw == 0) return {};
 
+  // The value ceiling: when every value equals its demand and both are
+  // nonnegative integers, every oracle's packing is an exact integer sum of
+  // at most floor(capacity + kIntegralityTol) (the DP rounds the capacity
+  // that way; the other oracles stay within the capacity itself), so once
+  // the incumbent reaches it no later window can strictly beat it.
+  bool integral = capacity < 0x1p53;
   std::vector<knapsack::Item> universe(thetas.size());
   for (std::size_t i = 0; i < thetas.size(); ++i) {
     universe[i] = {values[i], demands[i]};
+    integral = integral && values[i] == demands[i] && demands[i] >= 0.0 &&
+               demands[i] == std::floor(demands[i]);
   }
+  const double ceiling =
+      integral ? std::floor(capacity + knapsack::kIntegralityTol)
+               : std::numeric_limits<double>::infinity();
   knapsack::IncrementalOracle inc(universe, capacity, oracle, cache, ids);
 
-  // Walk every window with membership deltas, materializing only the first.
+  // Walk the windows with membership deltas, materializing only the first.
   // A window pays for a batch oracle solve only when (a) its running value
   // sum and (b) its O(log n) LP bound both still beat the incumbent --
   // neither skip can discard a window the non-incremental scan would have
   // used, because any oracle's value is bounded by both.
   WindowChoice best;
   knapsack::IncrementalStats stats;
-  std::uint64_t enters = sweep.members(0).size();
+  std::uint64_t enters = 0;
   std::uint64_t leaves = 0;
-  for (std::size_t m : sweep.members(0)) inc.add(m);
-  for (std::size_t w = 0; w < nw; ++w) {
+  std::size_t w = 0;
+  for (; w < nw && best.value < ceiling; ++w) {
     // Deadline check per 64-window block; a truncated scan keeps its best
     // window so far and reports incompleteness through `complete`.
     if ((w & 63u) == 0 && deadline.expired()) {
       best.complete = false;
       break;
     }
-    if (w > 0) {
+    if (w == 0) {
+      for (std::size_t m : sweep.members(0)) inc.add(m);
+      enters += sweep.members(0).size();
+    } else {
       const geom::WindowDelta d = sweep.delta(w);
       for (std::size_t m : d.leave) inc.remove(m);
       for (std::size_t m : d.enter) inc.add(m);
@@ -83,7 +101,9 @@ WindowChoice best_window_weighted(std::span<const double> thetas,
       ++stats.skipped_by_sum;
       continue;
     }
-    if (inc.upper_bound() <= best.value) {
+    // At window 0 the incumbent is 0 and nothing has left, so only the
+    // bound's sign matters, which the oracle tells without its trees.
+    if (w == 0 ? !inc.bound_positive() : inc.upper_bound() <= best.value) {
       ++stats.skipped_by_bound;
       continue;
     }
@@ -94,7 +114,7 @@ WindowChoice best_window_weighted(std::span<const double> thetas,
       best.chosen = std::move(res.chosen);
     }
   }
-  record_scan(nw, enters, leaves, stats);
+  record_scan(w, enters, leaves, stats);
   return best;
 }
 

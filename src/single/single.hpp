@@ -37,7 +37,11 @@ struct WindowChoice {
 /// The scan walks consecutive windows with geom::WindowSweep::delta and a
 /// knapsack::IncrementalOracle, so a window only pays for a full oracle
 /// solve when its incrementally-maintained LP bound still beats the
-/// incumbent; see docs/performance.md. `cache`, when given, memoizes solved
+/// incumbent. When every value equals its demand and both are nonnegative
+/// integers, no packing exceeds floor(capacity + kIntegralityTol), so the
+/// walk stops once the incumbent reaches that ceiling: no later window
+/// could strictly beat it, and the result is the full walk's. See
+/// docs/performance.md. `cache`, when given, memoizes solved
 /// windows across calls (greedy rounds, local-search passes) -- `ids` must
 /// then map each customer to a stable, strictly ascending id (e.g. its
 /// instance index) so fingerprints agree across calls whose filtered

@@ -2,11 +2,28 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "src/sim/rng.hpp"
 
 namespace geom = sectorpack::geom;
+
+namespace {
+
+// normalize as it was before it skipped fmod below 2*pi: the reference the
+// shortcut must match bit for bit.
+double normalize_with_fmod(double radians) {
+  double a = std::fmod(radians, geom::kTwoPi);
+  if (a < 0.0) a += geom::kTwoPi;
+  if (a >= geom::kTwoPi) a = 0.0;
+  return a + 0.0;
+}
+
+}  // namespace
 
 TEST(Angle, NormalizeBasics) {
   EXPECT_DOUBLE_EQ(geom::normalize(0.0), 0.0);
@@ -71,6 +88,46 @@ TEST(Angle, NormalizeBoundaryRegressions) {
   // Denormal-scale negatives behave like -1e-18.
   EXPECT_GE(geom::normalize(-1e-300), 0.0);
   EXPECT_LT(geom::normalize(-1e-300), geom::kTwoPi);
+}
+
+TEST(Angle, NormalizeMatchesFmodReference) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kDenormMin = std::numeric_limits<double>::denorm_min();
+  const double below = std::nextafter(geom::kTwoPi, 0.0);
+  std::vector<double> inputs = {
+      0.0, -0.0, below, -below, geom::kTwoPi, -geom::kTwoPi, -1e-18, 1e-18,
+      kDenormMin, -kDenormMin, 1e-310, -1e-310,
+      std::numeric_limits<double>::min(), -std::numeric_limits<double>::min(),
+      kInf, -kInf, std::numeric_limits<double>::quiet_NaN(), geom::kPi,
+      -geom::kPi, std::nextafter(geom::kTwoPi, kInf),
+      std::nextafter(-geom::kTwoPi, -kInf), 1e300, -1e300};
+  for (int m = 2; m <= 64; m *= 2) {
+    const double multiple = m * geom::kTwoPi;
+    for (const double x : {multiple, std::nextafter(multiple, 0.0),
+                           std::nextafter(multiple, kInf)}) {
+      inputs.push_back(x);
+      inputs.push_back(-x);
+    }
+  }
+  sectorpack::sim::Rng rng(20261019);
+  for (int i = 0; i < 100000; ++i) {
+    // Most draws inside (-4*pi, 4*pi), where the shortcut and the fold
+    // meet; the rest spread over many magnitudes.
+    inputs.push_back(i % 4 == 0 ? std::ldexp(rng.uniform(-1.0, 1.0),
+                                             static_cast<int>(
+                                                 rng.uniform_int(-60, 60)))
+                                : rng.uniform(-2.0, 2.0) * geom::kTwoPi);
+  }
+  for (const double x : inputs) {
+    const double want = normalize_with_fmod(x);
+    const double got = geom::normalize(x);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(want))
+        << "input " << x << " (bits " << std::bit_cast<std::uint64_t>(x)
+        << "): " << got << " vs " << want;
+    if (std::isnan(want)) continue;
+    EXPECT_FALSE(std::signbit(got)) << "input " << x;
+  }
 }
 
 TEST(Angle, CcwDeltaBasics) {

@@ -39,6 +39,22 @@ void expect_bands_are_flat(const model::Instance& inst,
   }
 }
 
+// Every band of a mutated instance equals the band of one freshly
+// constructed from its records, and the flat loop's.
+void expect_bands_are_fresh(const model::Instance& inst,
+                            const std::string& where) {
+  const model::Instance fresh(
+      std::vector<model::Customer>(inst.customers().begin(),
+                                   inst.customers().end()),
+      std::vector<model::AntennaSpec>(inst.antennas().begin(),
+                                      inst.antennas().end()));
+  for (std::size_t j = 0; j < inst.num_antennas(); ++j) {
+    EXPECT_TRUE(std::ranges::equal(inst.band(j), fresh.band(j)))
+        << where << ", antenna " << j;
+  }
+  expect_bands_are_flat(inst, where);
+}
+
 // Annular, overlapping and identical specs over seeded customers, with
 // some at the origin and some exactly on, or one ulp outside, each band's
 // stretched edges. A customer at (r, 0) has radius exactly r.
@@ -438,37 +454,105 @@ TEST(InstanceBands, EqualBandsShareOneList) {
 
 TEST(InstanceBands, MutatorsMatchFreshConstruction) {
   model::Instance inst = banded_instance(6);
-  const auto fresh_of = [](const model::Instance& from) {
-    return model::Instance(
-        std::vector<model::Customer>(from.customers().begin(),
-                                     from.customers().end()),
-        std::vector<model::AntennaSpec>(from.antennas().begin(),
-                                        from.antennas().end()));
-  };
-  const auto expect_fresh = [&](const std::string& where) {
-    const model::Instance fresh = fresh_of(inst);
-    for (std::size_t j = 0; j < inst.num_antennas(); ++j) {
-      EXPECT_TRUE(std::ranges::equal(inst.band(j), fresh.band(j)))
-          << where << ", antenna " << j;
-    }
-    expect_bands_are_flat(inst, where);
-  };
-  expect_fresh("built");  // every mutation below starts from a built table
+  // Every mutation below starts from a built table.
+  expect_bands_are_fresh(inst, "built");
   inst.add_customer({{15.0, 0.0}, 2.0});
-  expect_fresh("add_customer");
+  expect_bands_are_fresh(inst, "add_customer");
   inst.add_customer({{0.0, 0.0}, 1.0});
-  expect_fresh("add_customer at the origin");
+  expect_bands_are_fresh(inst, "add_customer at the origin");
   inst.remove_customer(0);
-  expect_fresh("remove_customer");
+  expect_bands_are_fresh(inst, "remove_customer");
   inst.remove_customer(inst.num_customers() - 1);
-  expect_fresh("remove_customer, last");
+  expect_bands_are_fresh(inst, "remove_customer, last");
   inst.set_demand(3, 9.0);
-  expect_fresh("set_demand");
+  expect_bands_are_fresh(inst, "set_demand");
   inst.add_antenna({1.0, 12.0, 5.0, 11.0});
-  expect_fresh("add_antenna, new band");
+  expect_bands_are_fresh(inst, "add_antenna, new band");
   inst.add_antenna({1.0, 10.0, 5.0, 0.0});
-  expect_fresh("add_antenna, existing band");
+  expect_bands_are_fresh(inst, "add_antenna, existing band");
   EXPECT_EQ(inst.band(0).data(), inst.band(inst.num_antennas() - 1).data());
+}
+
+// The customer edits update a built table in place: after each one every
+// band equals a fresh construction's, for customers added on, inside and
+// just outside the band edges and removed from the front, the middle and
+// the back. A demand edit moves no one, so it keeps the table, the grid
+// and their storage; a copy mutated before it ever built a table must
+// agree too.
+TEST(InstanceBands, CustomerEditsKeepABuiltTable) {
+  model::Instance inst = banded_instance(9);
+  model::Instance unbuilt = inst;  // copies start without a table
+  expect_bands_are_fresh(inst, "built");
+
+  const std::size_t* kept = inst.band(1).data();
+  const sectorpack::geom::PolarGrid* grid = &inst.polar_grid();
+  inst.set_demand(5, 4.0);
+  unbuilt.set_demand(5, 4.0);
+  EXPECT_EQ(inst.band(1).data(), kept) << "set_demand keeps the table";
+  EXPECT_EQ(&inst.polar_grid(), grid) << "set_demand keeps the grid";
+  expect_bands_are_fresh(inst, "set_demand");
+
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const model::AntennaSpec& a = inst.antenna(1);
+  const double hi = a.range * (1.0 + geom::kRadiusEps);
+  const double lo = a.min_range * (1.0 - geom::kRadiusEps);
+  for (const double r : {hi, std::nextafter(hi, kInf), lo,
+                         std::nextafter(lo, 0.0), 0.0, 1e7, 14.0}) {
+    const model::Customer c{{0.0, r}, 1.0};
+    inst.add_customer(c);
+    unbuilt.add_customer(c);
+    expect_bands_are_fresh(inst, "add_customer at radius " + std::to_string(r));
+  }
+  // The front, an early and a middle index, the back, and near the back.
+  for (const int where : {0, 1, 2, 3, 4}) {
+    const std::size_t n = inst.num_customers();
+    const std::size_t i = where == 0   ? 0
+                          : where == 1 ? 17
+                          : where == 2 ? n / 2
+                          : where == 3 ? n - 1
+                                       : n - 4;
+    inst.remove_customer(i);
+    unbuilt.remove_customer(i);
+    expect_bands_are_fresh(inst, "remove_customer " + std::to_string(i));
+  }
+  // A band that loses its only member and gains it back.
+  model::Instance lone({{{3.0, 4.0}, 1.0}, {{30.0, 0.0}, 1.0}},
+                       {{1.0, 6.0, 1.0, 4.0}, {1.0, 40.0, 1.0, 0.0}});
+  ASSERT_EQ(lone.band(0).size(), 1u);
+  lone.remove_customer(0);
+  expect_bands_are_fresh(lone, "remove the only member");
+  EXPECT_TRUE(lone.band(0).empty());
+  lone.add_customer({{0.0, 5.0}, 1.0});
+  expect_bands_are_fresh(lone, "add it back");
+
+  expect_bands_are_fresh(unbuilt, "edited before building");
+  for (std::size_t j = 0; j < inst.num_antennas(); ++j) {
+    EXPECT_TRUE(std::ranges::equal(inst.band(j), unbuilt.band(j)))
+        << "antenna " << j;
+  }
+}
+
+// A demand edit keeps the ski-rental count too: the grid is built at the
+// same eligibility query as on an instance never edited.
+TEST(InstanceBands, DemandEditKeepsGridDeferral) {
+  ASSERT_EQ(geom::spatial_index_mode(), geom::SpatialIndexMode::kAuto);
+  std::vector<model::Customer> customers;
+  sim::Rng rng(10);
+  for (std::size_t i = 0; i < geom::kSpatialIndexMinCustomers; ++i) {
+    customers.push_back(
+        {geom::from_polar(rng.uniform(0.0, geom::kTwoPi),
+                          rng.uniform(0.0, 50.0)),
+         1.0});
+  }
+  model::Instance inst(customers, {{1.0, 20.0, 5.0, 0.0}});
+  for (std::uint32_t q = 0; q < geom::kGridBuildAfterQueries; ++q) {
+    if (q == geom::kGridBuildAfterQueries / 2) inst.set_demand(q, 2.0);
+    EXPECT_EQ(inst.spatial_index(), nullptr) << "query " << q;
+  }
+  EXPECT_NE(inst.spatial_index(), nullptr);
+  // A customer edit restarts the count.
+  inst.add_customer({{1.0, 1.0}, 1.0});
+  EXPECT_EQ(inst.spatial_index(), nullptr);
 }
 
 TEST(InstanceBands, CopyRebuildsAndMoveKeeps) {
