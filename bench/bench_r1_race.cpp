@@ -17,7 +17,7 @@
 // Metrics land in BENCH_r1_race.json: per-family and race wall times
 // (min/median/p95 over repetitions), the value ratio race/best-family
 // (must be >= 1), and the obs snapshot carrying race.winner.<family>,
-// race.cancelled, race.incumbent_publishes and race.exchange_adoptions.
+// race.cancelled and race.exchange_adoptions.
 
 #include "bench_common.hpp"
 

@@ -5,9 +5,8 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
-#include <vector>
+#include <utility>
 
-#include "src/core/sync.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 
@@ -16,78 +15,53 @@ namespace sectorpack::core {
 namespace detail {
 
 /// Shared between all copies of one Deadline. `cancelled` is the one-way
-/// latch expired()/cancel() always used; `children` is the after_at_most
-/// registry that makes a cap's cancel() reach its sub-budgets. Links point
-/// strictly parent -> child and a child is always a node created *after*
-/// its parent, so the graph is a forest: the recursive cancel sweep
-/// terminates and the per-node mutexes are always acquired parent-first
-/// (no ordering cycle).
-struct DeadlineCancelState {
+/// latch cancel() sets and expired() reads and sets; `parent` (the cap the
+/// node was carved from) and `interrupt` (a root's external flag) are fixed
+/// at construction, so reading them needs no lock. Links point child ->
+/// parent only and a parent always exists before its child, so every chain
+/// ends at a root.
+struct DeadlineNode {
+  DeadlineNode(std::shared_ptr<const DeadlineNode> parent_node,
+               const std::atomic<bool>* interrupt_flag)
+      : parent(std::move(parent_node)), interrupt(interrupt_flag) {}
+
   std::atomic<bool> cancelled{false};
-  Mutex mu;
-  /// Weak so a finished sub-solve's deadline can be destroyed while its
-  /// long-lived cap survives; dead entries are pruned at registration.
-  std::vector<std::weak_ptr<DeadlineCancelState>> children SP_GUARDED_BY(mu);
+  const std::shared_ptr<const DeadlineNode> parent;
+  const std::atomic<bool>* const interrupt;
 };
 
 }  // namespace detail
 
 namespace {
 
-using detail::DeadlineCancelState;
+using detail::DeadlineNode;
 
-void cancel_tree(DeadlineCancelState& node) noexcept {
-  // sp-sync: relaxed one-way latch (see Deadline::expired()); the store
-  // happens before the sweep below takes mu, which pairs with the
-  // registration-side load under the same mutex.
-  node.cancelled.store(true, std::memory_order_relaxed);
-  const LockGuard lock(node.mu);
-  for (const std::weak_ptr<DeadlineCancelState>& weak : node.children) {
-    if (const std::shared_ptr<DeadlineCancelState> child = weak.lock()) {
-      cancel_tree(*child);
+/// True when `node` or one of its ancestors is cancelled or watches a set
+/// interrupt flag. Never reads an ancestor's clock: after_at_most clamped
+/// each child's budget under its cap's remaining time, so the node's own
+/// clock lapses first.
+bool chain_tripped(const DeadlineNode* node) noexcept {
+  for (; node != nullptr; node = node->parent.get()) {
+    // sp-sync: relaxed one-way flags (see Deadline::expired()); a check
+    // that lags a cancel or a signal by a few loads extends a solve by one
+    // loop iteration.
+    if (node->cancelled.load(std::memory_order_relaxed) ||
+        (node->interrupt != nullptr &&
+         // sp-sync: as above.
+         node->interrupt->load(std::memory_order_relaxed))) {
+      return true;
     }
   }
-  node.children.clear();
-}
-
-/// Register `child` so a later cancel of `parent` propagates. If the
-/// parent is already cancelled, the child is cancelled on the spot: both
-/// sides work under parent->mu, so a concurrent cancel_tree either sees
-/// the child in the registry or this load sees `cancelled` -- the child
-/// can never slip through the sweep.
-void link_child(DeadlineCancelState& parent,
-                const std::shared_ptr<DeadlineCancelState>& child) {
-  bool cancel_now = false;
-  {
-    const LockGuard lock(parent.mu);
-    // sp-sync: relaxed load is ordered against cancel_tree's store by
-    // parent.mu (the sweep holds it too); see link_child's contract above.
-    if (parent.cancelled.load(std::memory_order_relaxed)) {
-      cancel_now = true;
-    } else {
-      // Prune: a batch engine keeps one global cap alive across thousands
-      // of requests, so the registry must shrink as children die.
-      std::erase_if(parent.children,
-                    [](const std::weak_ptr<DeadlineCancelState>& w) {
-                      return w.expired();
-                    });
-      parent.children.push_back(child);
-    }
-  }
-  if (cancel_now) {
-    // sp-sync: relaxed one-way latch (see Deadline::expired()).
-    child->cancelled.store(true, std::memory_order_relaxed);
-  }
+  return false;
 }
 
 }  // namespace
 
-Deadline Deadline::after(double seconds) {
-  if (std::isnan(seconds)) {
-    throw std::invalid_argument("Deadline::after: budget is NaN");
-  }
+Deadline Deadline::make(double seconds,
+                        std::shared_ptr<const DeadlineNode> parent,
+                        const std::atomic<bool>* interrupt) {
   Deadline d;
-  d.state_ = std::make_shared<DeadlineCancelState>();
+  d.state_ = std::make_shared<DeadlineNode>(std::move(parent), interrupt);
   if (seconds <= 0.0) {
     // sp-sync: relaxed one-way latch (see expired()); no reader yet.
     d.state_->cancelled.store(true, std::memory_order_relaxed);
@@ -107,25 +81,25 @@ Deadline Deadline::after(double seconds) {
   return d;
 }
 
-Deadline Deadline::cancellable() {
-  Deadline d;
-  d.state_ = std::make_shared<DeadlineCancelState>();
-  return d;
+Deadline Deadline::after(double seconds) {
+  if (std::isnan(seconds)) {
+    throw std::invalid_argument("Deadline::after: budget is NaN");
+  }
+  return make(seconds, nullptr, nullptr);
+}
+
+Deadline Deadline::cancellable(const std::atomic<bool>* interrupt) {
+  return make(std::numeric_limits<double>::infinity(), nullptr, interrupt);
 }
 
 Deadline Deadline::after_at_most(double seconds, const Deadline& cap) {
-  const double cap_left = cap.limited()
-                              ? cap.remaining_seconds()
-                              : std::numeric_limits<double>::infinity();
+  const double cap_left = cap.remaining_seconds();  // +inf when unlimited
   const bool own_budget = seconds >= 0.0;  // NaN and negatives: no budget
   const double budget = own_budget ? std::min(seconds, cap_left) : cap_left;
-  Deadline child =
-      std::isfinite(budget) ? after(budget) : cancellable();
-  // Share cap's cancellation: the budget already encodes cap's wall-clock
-  // expiry (clamped above), but an explicit cancel() of cap -- drain,
-  // SIGINT, a race declaring its winner -- must reach the child too.
-  if (cap.limited()) link_child(*cap.state_, child.state_);
-  return child;
+  // The budget already encodes cap's wall-clock expiry; the link carries
+  // an explicit cancel() of cap -- a race declaring its winner -- and a
+  // root's interrupt flag (SIGINT) to the child.
+  return make(budget, cap.state_, nullptr);
 }
 
 bool Deadline::expired() const noexcept {
@@ -134,10 +108,9 @@ bool Deadline::expired() const noexcept {
   // no data is published through it, and a check that lags a cancel by a
   // few loads just extends a solve by one loop iteration.
   if (state_->cancelled.load(std::memory_order_relaxed)) return true;
-  if (has_expiry_ && Clock::now() >= expiry_) {
-    // Latch so subsequent checks (on any copy) skip the clock read. No
-    // child sweep: every child's budget is clamped under ours, so their
-    // own clocks lapse no later.
+  if ((has_expiry_ && Clock::now() >= expiry_) ||
+      chain_tripped(state_.get())) {
+    // Latch so subsequent checks (on any copy) read one load.
     // sp-sync: relaxed one-way latch (see above).
     state_->cancelled.store(true, std::memory_order_relaxed);
     return true;
@@ -146,13 +119,13 @@ bool Deadline::expired() const noexcept {
 }
 
 void Deadline::cancel() const noexcept {
-  if (state_) cancel_tree(*state_);
+  // sp-sync: relaxed one-way latch (see expired()); descendants read it.
+  if (state_) state_->cancelled.store(true, std::memory_order_relaxed);
 }
 
 double Deadline::remaining_seconds() const noexcept {
   if (!state_) return std::numeric_limits<double>::infinity();
-  // sp-sync: relaxed one-way latch (see expired()).
-  if (state_->cancelled.load(std::memory_order_relaxed)) return 0.0;
+  if (chain_tripped(state_.get())) return 0.0;  // reads, never latches
   if (!has_expiry_) return std::numeric_limits<double>::infinity();
   const double left =
       std::chrono::duration<double>(expiry_ - Clock::now()).count();

@@ -8,7 +8,6 @@
 
 #include "src/bench_util/timer.hpp"
 #include "src/bounds/upper.hpp"
-#include "src/core/sync.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/par/parallel_for.hpp"
@@ -23,42 +22,6 @@ namespace {
 /// and served_value sum the same demands in different orders, so they can
 /// differ by accumulated rounding even at true optimality.
 constexpr double kBoundEps = 1e-9;
-
-/// Shared best-so-far cell. Lanes publish under the mutex; the warm-start
-/// exchange reads the seed from here (deterministically greedy's result:
-/// the only publish that can precede a lane start is phase A's). Adoption
-/// order is value-then-priority, the same rule as the final selection, so
-/// the cell's content never depends on publish interleaving.
-class Incumbent {
- public:
-  /// Adopt `sol` if it beats the current best; returns whether adopted.
-  bool publish(const model::Solution& sol, double value, int priority) {
-    const core::LockGuard lock(mu_);
-    if (has_ && (value < value_ || (value == value_ && priority >= priority_))) {
-      return false;
-    }
-    best_ = sol;
-    value_ = value;
-    priority_ = priority;
-    has_ = true;
-    return true;
-  }
-
-  /// Snapshot for a lane about to warm-start; false when nothing published.
-  bool snapshot(model::Solution& out) const {
-    const core::LockGuard lock(mu_);
-    if (!has_) return false;
-    out = best_;
-    return true;
-  }
-
- private:
-  mutable core::Mutex mu_;
-  model::Solution best_ SP_GUARDED_BY(mu_);
-  double value_ SP_GUARDED_BY(mu_) = 0.0;
-  int priority_ SP_GUARDED_BY(mu_) = 0;
-  bool has_ SP_GUARDED_BY(mu_) = false;
-};
 
 /// True when `outcome` ends the race: a completed solution whose value
 /// meets the cheap upper bound is provably optimal, so the still-running
@@ -118,8 +81,6 @@ std::vector<std::string> parse_portfolio(const std::string& spec) {
 
 model::Solution solve(const model::Instance& inst, const RaceConfig& config,
                       RaceStats* stats) {
-  static const obs::Counter c_publishes =
-      obs::counter("race.incumbent_publishes");
   static const obs::Counter c_adoptions =
       obs::counter("race.exchange_adoptions");
   static const obs::Counter c_cancelled = obs::counter("race.cancelled");
@@ -159,17 +120,15 @@ model::Solution solve(const model::Instance& inst, const RaceConfig& config,
   key.seed = config.seed;
   key.iterations = config.iterations;
 
-  // The race deadline: every lane runs under it, so one cancel() here --
-  // cancel-on-winner, or an external cancel of `cap` propagating through
-  // the deadline tree -- stops the whole field.
+  // The race deadline: every lane runs under it and reads its chain, so
+  // one cancel() here (cancel-on-winner), or an external cancel or
+  // interrupt above `cap`, stops the whole field.
   const core::Deadline race_dl = core::Deadline::after_at_most(-1.0, cap);
   const core::SolveOptions lane_options{race_dl};
 
-  Incumbent incumbent;
   // Each lane writes only its own slot; the phase-B join is the barrier
   // before the selection pass reads them all.
   std::vector<model::Solution> lane_solutions(lanes.size());
-  std::atomic<std::uint64_t> publishes{0};
   std::atomic<std::uint64_t> adoptions{0};
   std::atomic<std::uint64_t> started{0};
   std::atomic<std::uint64_t> finished{0};
@@ -197,11 +156,6 @@ model::Solution solve(const model::Instance& inst, const RaceConfig& config,
       outcome.ran = true;
       outcome.status = sol.status;
       outcome.value = model::served_value(inst, sol);
-      // sp-sync: publishes is an event counter read only after the
-      // phase-B join (the happens-before edge); relaxed suffices.
-      if (incumbent.publish(sol, outcome.value, lanes[i]->priority)) {
-        publishes.fetch_add(1, std::memory_order_relaxed);
-      }
       lane_solutions[i] = std::move(sol);
     } catch (const std::exception& e) {
       // A structurally inapplicable lane (e.g. exact's tuple-space
@@ -217,7 +171,7 @@ model::Solution solve(const model::Instance& inst, const RaceConfig& config,
     if (proves_optimal(outcome, bound) &&
         !winner_declared.exchange(true, std::memory_order_acq_rel)) {
       // Cancel-on-winner: lanes still running cannot beat a proved
-      // optimum; stop them through the deadline tree. Only started-but-
+      // optimum; stop them through the race deadline. Only started-but-
       // unfinished lanes count as cancelled -- a phase-A win launches no
       // losers at all (skipped, not cancelled).
       // sp-sync: the cancelled metric is approximate by design (a lane
@@ -242,8 +196,12 @@ model::Solution solve(const model::Instance& inst, const RaceConfig& config,
   }
   if (greedy_lane != lanes.size()) run_lane(greedy_lane, nullptr);
 
-  model::Solution seed_solution;
-  const bool have_seed = incumbent.snapshot(seed_solution);
+  // The seed is greedy's own slot: no lane writes it during Phase B, so
+  // every seedable lane reads it without a lock.
+  const model::Solution* seed =
+      greedy_lane != lanes.size() && st.lanes[greedy_lane].error.empty()
+          ? &lane_solutions[greedy_lane]
+          : nullptr;
 
   // Phase B: the remaining lanes race, each on a thread of its own (the
   // caller runs one of them). This host may be a single core -- every lane
@@ -256,10 +214,7 @@ model::Solution solve(const model::Instance& inst, const RaceConfig& config,
     }
     par::parallel_for(remaining.size(),
                       static_cast<unsigned>(remaining.size()),
-                      [&](std::size_t r) {
-                        run_lane(remaining[r],
-                                 have_seed ? &seed_solution : nullptr);
-                      });
+                      [&](std::size_t r) { run_lane(remaining[r], seed); });
   } else {
     // Phase A already proved optimality: the other lanes are never
     // launched (cheaper than launch-then-cancel; they count as skipped,
@@ -267,7 +222,7 @@ model::Solution solve(const model::Instance& inst, const RaceConfig& config,
   }
 
   // Deterministic selection over settled outcomes: value, then fixed
-  // family priority. Independent of publish interleaving by construction.
+  // family priority. Independent of lane completion order by construction.
   std::size_t best = lanes.size();
   for (std::size_t i = 0; i < lanes.size(); ++i) {
     const LaneOutcome& outcome = st.lanes[i];
@@ -293,11 +248,9 @@ model::Solution solve(const model::Instance& inst, const RaceConfig& config,
   // sp-sync: every lane finished before the phase-B join above, so these
   // relaxed loads see the final counter values; no concurrent writers.
   st.cancelled = cancelled_lanes.load(std::memory_order_relaxed);
-  st.incumbent_publishes = publishes.load(std::memory_order_relaxed);
   st.exchange_adoptions = adoptions.load(std::memory_order_relaxed);
   st.win_ms = timer.elapsed_ms();
 
-  c_publishes.add(st.incumbent_publishes);
   c_adoptions.add(st.exchange_adoptions);
   c_cancelled.add(st.cancelled);
   // Rare path (once per race): composed-name registration is fine here,

@@ -7,15 +7,15 @@
 // trade time for quality, exact is optimal but blows up combinatorially --
 // and no single family dominates (cf. PAPERS.md on competing CLP
 // formulations). race::solve turns that spread into a feature: each
-// portfolio member runs in its own lane, every completed result is
-// published to a shared incumbent cell, and the first lane that provably
-// hits bounds::trivial_bound cancels the rest through the race deadline
-// that every lane shares (core::Deadline::after_at_most links it under the
-// caller's cap).
+// portfolio member runs in its own lane and writes its result to a slot of
+// its own, and the first lane that provably hits bounds::trivial_bound
+// cancels the rest through the race deadline that every lane shares
+// (core::Deadline::after_at_most links it under the caller's cap, so a
+// cancel or SIGINT above the cap reaches the lanes too).
 //
-// Determinism contract: the greedy lane always runs first, inline, and is
-// the warm-start seed handed to every seedable lane -- lanes never seed
-// from a timing-dependent snapshot -- and the winner is selected *after*
+// Determinism contract: the greedy lane always runs first, inline, and its
+// slot is the warm-start seed handed to every seedable lane -- lanes never
+// seed from a timing-dependent snapshot -- and the winner is selected *after*
 // all lanes settle by (value, then fixed family priority from the solver
 // registry). With an unlimited budget the output is therefore byte-
 // identical run to run; scheduling only moves wall time, never the answer.
@@ -39,8 +39,9 @@ struct RaceConfig {
   /// Forwarded to families that consume them (annealing today).
   std::uint64_t seed = 1;
   std::uint64_t iterations = 2000;
-  /// The race-wide cap; every lane runs under it. Its cancel() (drain,
-  /// SIGINT) reaches every lane through the deadline tree.
+  /// The race-wide cap; every lane runs under it. Its cancel(), or an
+  /// interrupt at its root (drain, SIGINT), reaches every lane through the
+  /// deadline chain.
   core::SolveOptions solve;
 };
 
@@ -61,7 +62,6 @@ struct RaceStats {
   std::string winner;
   bool proved_optimal = false;     ///< winner matched bounds::trivial_bound
   std::uint64_t cancelled = 0;     ///< lanes cancelled by cancel-on-winner
-  std::uint64_t incumbent_publishes = 0;
   std::uint64_t exchange_adoptions = 0;  ///< lanes that adopted the seed
   double win_ms = 0.0;             ///< start to winning lane's finish
   std::vector<LaneOutcome> lanes;

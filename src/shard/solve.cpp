@@ -172,10 +172,10 @@ model::Solution solve(const model::Instance& inst, const ShardConfig& config,
 
   // Deadline slices: shards run in waves of thread_count(0), so give each
   // shard remaining/waves seconds capped by the global budget. Each slice is
-  // registered as a child of the global deadline
-  // (core::Deadline::after_at_most), so an external cancel -- drain,
-  // SIGINT -- interrupts in-flight shard sub-solves immediately instead of
-  // being observed only between phases.
+  // a child of the global deadline (core::Deadline::after_at_most) and
+  // reads its chain at every check, so an external cancel or SIGINT stops
+  // in-flight shard sub-solves at their next check instead of being
+  // observed only between phases.
   core::SolveOptions sub_opts = config.solve;
   double slice_seconds = -1.0;
   if (global.limited() && !subs.empty()) {

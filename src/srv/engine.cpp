@@ -249,8 +249,8 @@ class Engine {
         // re-check, and the 50ms bound keeps the window draining even on a
         // missed notify (see core::CondVar).
         done_cv_.wait_for(lock, std::chrono::milliseconds(50));
-        // No drain check needed: a drain cancels in-flight deadlines, so
-        // the window always drains forward.
+        // No drain check needed: a drain expires the solves in flight
+        // through their deadlines, so the window always drains forward.
       }
     }
     flush_ready();
@@ -344,8 +344,8 @@ class Engine {
       c_cache_mismatch_.inc();
     }
 
-    // The request's budget, clamped under the global one; a drain cancels
-    // it mid-solve.
+    // The request's budget, clamped under the global one; an interrupt
+    // expires it mid-solve.
     model::Solution sol;
     std::string error;
     try {

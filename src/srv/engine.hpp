@@ -17,11 +17,11 @@
 // instance, or an unknown solver yields a status "invalid" response and
 // the batch continues. A lapsed global budget or an interrupt (SIGINT in
 // the CLI) starts a drain (srv::Drain, shared with `serve`), also after
-// the last input line was read: admission stops, the solves in flight
-// finish as feasible budget-exhausted incumbents, and everything not yet
-// started is answered with status "rejected" -- every input line always
-// gets exactly one response. See docs/serving.md for the request/response
-// schema.
+// the last input line was read: admission stops, the solves in flight read
+// the drain through their deadlines and finish as feasible budget-exhausted
+// incumbents, and everything not yet started is answered with status
+// "rejected" -- every input line always gets exactly one response. See
+// docs/serving.md for the request/response schema.
 
 #include <atomic>
 #include <chrono>

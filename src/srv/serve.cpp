@@ -136,8 +136,8 @@ std::string ServeReport::to_string() const {
 namespace {
 
 /// Everything one run_serve call needs: the sequential op loop, and the
-/// drain that turns the interrupt flag / global budget into a cancel of
-/// the op in flight.
+/// drain whose run deadline hands the interrupt flag and the global budget
+/// to the op in flight.
 class ServeLoop {
  public:
   ServeLoop(std::ostream& out, const ServeConfig& config)

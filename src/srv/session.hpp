@@ -55,8 +55,8 @@
 // spec, which did not change).
 //
 // Thread model: a Session is confined to the serve loop's thread; only the
-// core::Deadline handed into a delta may be touched concurrently (the drain
-// monitor cancels it).
+// core::Deadline handed into a delta reads state another thread writes:
+// the interrupt flag at its root, which the SIGINT handler sets.
 
 #include <cstddef>
 #include <cstdint>

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <limits>
 #include <thread>
@@ -233,6 +234,33 @@ TEST(Deadline, CrossThreadCancelReachesChildren) {
   std::thread canceller([&cap] { cap.cancel(); });
   canceller.join();
   EXPECT_TRUE(lane.expired());
+}
+
+TEST(Deadline, FlagRootedDeadlineExpiresItsSubtree) {
+  // SIGINT's path: the handler only stores the flag, and every deadline
+  // under the root reads it at its next check -- nothing pushes a cancel.
+  std::atomic<bool> flag{false};
+  const core::Deadline root = core::Deadline::cancellable(&flag);
+  const core::Deadline hub = core::Deadline::after_at_most(-1.0, root);
+  const core::Deadline lane = core::Deadline::after_at_most(600.0, hub);
+  std::atomic<bool> clear{false};
+  const core::Deadline other = core::Deadline::cancellable(&clear);
+  EXPECT_FALSE(lane.expired());
+  EXPECT_FALSE(root.expired());
+
+  std::thread handler([&flag] { flag.store(true); });
+  handler.join();
+  EXPECT_EQ(lane.remaining_seconds(), 0.0);  // read before lane latches
+  EXPECT_TRUE(lane.expired());
+  EXPECT_TRUE(hub.expired());
+  EXPECT_TRUE(root.expired());
+
+  // A root on a clear flag is untouched.
+  EXPECT_FALSE(other.expired());
+  EXPECT_TRUE(std::isinf(other.remaining_seconds()));
+  // A child armed under the flagged root is born expired.
+  EXPECT_TRUE(core::Deadline::after_at_most(3600.0, root).expired());
+  EXPECT_TRUE(core::Deadline::after_at_most(-1.0, root).expired());
 }
 
 TEST(Deadline, DeadChildrenArePruned) {

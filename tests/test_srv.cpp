@@ -21,6 +21,7 @@
 
 #include "src/sectorpack.hpp"
 #include "src/srv/cache.hpp"
+#include "src/srv/drain.hpp"
 
 using namespace sectorpack;
 
@@ -653,6 +654,44 @@ TEST(SrvEngine, InterruptAfterLastLineCancelsAndRejects) {
     EXPECT_EQ(field(responses[i], "status"), "rejected") << "line " << i;
     EXPECT_EQ(field(responses[i], "error"), "batch draining (interrupted)");
   }
+}
+
+// ---------------------------------------------------------------------------
+// The drain itself: no thread watches the flag, so the armed deadlines and
+// draining() must read it on their own.
+
+TEST(SrvDrain, InterruptWithLapsedBudgetNamesTheInterruptOnce) {
+  obs::set_enabled(true);
+  obs::reset();
+  std::atomic<bool> interrupt{true};
+  srv::Drain drain("batch", 0.0, &interrupt);
+  for (int i = 0; i < 5; ++i) EXPECT_TRUE(drain.draining());
+  EXPECT_EQ(drain.reason(), "batch draining (interrupted)");
+  const obs::Snapshot snap = obs::snapshot();
+  obs::set_enabled(false);
+  EXPECT_EQ(snap.counter("deadline.expired.srv.batch"), 1u);
+}
+
+TEST(SrvDrain, LapsedBudgetWithClearFlagNamesTheBudget) {
+  std::atomic<bool> interrupt{false};
+  srv::Drain drain("serve", 0.0, &interrupt);
+  EXPECT_TRUE(drain.draining());
+  EXPECT_EQ(drain.reason(), "global time limit exhausted");
+}
+
+TEST(SrvDrain, ArmedDeadlineReadsTheFlagWithoutDraining) {
+  // What a solve in flight sees when SIGINT lands: its deadline expires at
+  // the next check, before anything calls draining().
+  std::atomic<bool> interrupt{false};
+  srv::Drain drain("batch", -1.0, &interrupt);
+  const core::Deadline deadline = drain.arm(-1.0).deadline;
+  EXPECT_FALSE(deadline.expired());
+  std::thread handler([&interrupt] { interrupt.store(true); });
+  handler.join();
+  EXPECT_TRUE(deadline.expired());
+  EXPECT_EQ(drain.reason(), "");
+  EXPECT_TRUE(drain.draining());
+  EXPECT_EQ(drain.reason(), "batch draining (interrupted)");
 }
 
 TEST(SrvEngine, GlobalBudgetAfterLastLineRejectsUnstarted) {

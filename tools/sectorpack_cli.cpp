@@ -591,9 +591,10 @@ int cmd_info(const Args& args) {
   return 0;
 }
 
-/// SIGINT -> cooperative drain: `batch` and `serve` poll this flag, cancel
-/// the solves in flight, and still write one response per line. A
-/// lock-free atomic store is async-signal-safe.
+/// SIGINT -> cooperative drain: `batch` and `serve` root their deadlines on
+/// this flag, so the solves in flight read it at their next check, and
+/// still write one response per line. Static, so it outlives every
+/// deadline. A lock-free atomic store is async-signal-safe.
 std::atomic<bool> g_interrupt{false};
 
 /// Upper bounds on the size flags of `batch` and `serve` (docs/serving.md).
